@@ -1,12 +1,10 @@
-//! Repair-loop microbenches: the three costs `racellm-cli fix` and
+//! Repair-loop microbenches: the two costs `racellm-cli fix` and
 //! `POST /v1/fix` pay — a full detect → candidate → certify → minimize
-//! run on a racy kernel, the detection-only path on a clean kernel
-//! (no candidates enumerated), and the memoized artifact path a warm
-//! server worker takes.
+//! run on a racy kernel, and the detection-only path on a clean kernel
+//! (no candidates enumerated).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use racellm::llm::AnalyzedKernel;
-use racellm::repair::{fix, fix_cached, RepairConfig};
+use racellm::repair::{fix, RepairConfig};
 use std::hint::black_box;
 
 const RACY_SUM: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
@@ -21,11 +19,6 @@ fn repair_loop(c: &mut Criterion) {
     });
     g.bench_function("fix_clean_kernel", |b| {
         b.iter(|| black_box(fix(black_box(CLEAN), &cfg)))
-    });
-    g.bench_function("fix_cached_warm", |b| {
-        let artifact = AnalyzedKernel::analyze(RACY_SUM);
-        let _ = fix_cached(&artifact); // populate the memo
-        b.iter(|| black_box(fix_cached(black_box(&artifact))))
     });
     g.finish();
 }

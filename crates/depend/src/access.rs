@@ -182,16 +182,28 @@ impl Collector {
         }
     }
 
-    fn lvalue(&mut self, e: &Expr, kind: AccessKind) {
+    /// Record `e` as accessed once per entry of `kinds`, in order.
+    /// Subexpressions (subscripts, the pointer under a deref) are
+    /// evaluated once however many kinds there are: `a[i]++` reads `i`
+    /// once, and nested read-modify-writes stay linear.
+    fn lvalue(&mut self, e: &Expr, kinds: &[AccessKind]) {
+        let own = |var: &str, subscripts: Vec<Affine>, deref: u8, text: String, span: Span| {
+            kinds
+                .iter()
+                .map(|&kind| Access {
+                    var: var.to_string(),
+                    kind,
+                    subscripts: subscripts.clone(),
+                    deref,
+                    text: text.clone(),
+                    span,
+                })
+                .collect::<Vec<_>>()
+        };
         match e {
-            Expr::Ident { name, span } => self.out.push(Access {
-                var: name.clone(),
-                kind,
-                subscripts: Vec::new(),
-                deref: 0,
-                text: name.clone(),
-                span: *span,
-            }),
+            Expr::Ident { name, span } => {
+                self.out.extend(own(name, Vec::new(), 0, name.clone(), *span))
+            }
             Expr::Index { .. } => {
                 // Unwind nested Index to get base + subscript list.
                 let mut subs_rev = Vec::new();
@@ -207,14 +219,7 @@ impl Collector {
                 if let Expr::Ident { name, .. } = cur {
                     let subscripts =
                         subs_rev.iter().rev().map(|i| Affine::from_expr(i)).collect();
-                    self.out.push(Access {
-                        var: name.clone(),
-                        kind,
-                        subscripts,
-                        deref: 0,
-                        text: print_expr(e),
-                        span: e.span(),
-                    });
+                    self.out.extend(own(name, subscripts, 0, print_expr(e), e.span()));
                 } else {
                     // Exotic base (call result, deref); record the base reads.
                     self.expr(cur, AccessKind::Read);
@@ -224,18 +229,11 @@ impl Collector {
                 // `*p = …` writes through p: the pointer value is read, the
                 // pointee (modelled as `p` with deref=1) has `kind`.
                 if let Some(root) = expr.root_var() {
-                    self.out.push(Access {
-                        var: root.to_string(),
-                        kind,
-                        subscripts: Vec::new(),
-                        deref: 1,
-                        text: print_expr(e),
-                        span: *span,
-                    });
+                    self.out.extend(own(root, Vec::new(), 1, print_expr(e), *span));
                 }
                 self.expr(expr, AccessKind::Read);
             }
-            Expr::Cast { expr, .. } => self.lvalue(expr, kind),
+            Expr::Cast { expr, .. } => self.lvalue(expr, kinds),
             // Anything else used as an lvalue: treat subexpressions as reads.
             other => self.expr(other, AccessKind::Read),
         }
@@ -247,7 +245,7 @@ impl Collector {
             | Expr::FloatLit { .. }
             | Expr::StrLit { .. }
             | Expr::CharLit { .. } => {}
-            Expr::Ident { .. } | Expr::Index { .. } => self.lvalue(e, kind),
+            Expr::Ident { .. } | Expr::Index { .. } => self.lvalue(e, &[kind]),
             Expr::Call { callee, args, .. } => {
                 for a in args {
                     // `&x` arguments may be written by the callee; handled
@@ -259,7 +257,7 @@ impl Collector {
                     self.expr(a, AccessKind::Read);
                 }
             }
-            Expr::Unary { op: UnOp::Deref, .. } => self.lvalue(e, kind),
+            Expr::Unary { op: UnOp::Deref, .. } => self.lvalue(e, &[kind]),
             Expr::Unary { op: UnOp::AddrOf, expr, .. } => {
                 // Taking an address is not itself an access.
                 let _ = expr;
@@ -273,14 +271,12 @@ impl Collector {
                 self.expr(rhs, AccessKind::Read);
                 if op.bin_op().is_some() {
                     // Compound assignment reads then writes the target.
-                    self.lvalue(lhs, AccessKind::Read);
+                    self.lvalue(lhs, &[AccessKind::Read, AccessKind::Write]);
+                } else {
+                    self.lvalue(lhs, &[AccessKind::Write]);
                 }
-                self.lvalue(lhs, AccessKind::Write);
             }
-            Expr::IncDec { expr, .. } => {
-                self.lvalue(expr, AccessKind::Read);
-                self.lvalue(expr, AccessKind::Write);
-            }
+            Expr::IncDec { expr, .. } => self.lvalue(expr, &[AccessKind::Read, AccessKind::Write]),
             Expr::Cond { cond, then, els, .. } => {
                 self.expr(cond, AccessKind::Read);
                 self.expr(then, AccessKind::Read);
@@ -340,6 +336,36 @@ mod tests {
         let a = body_accesses("void f(int x) { x++; }");
         assert_eq!(a.len(), 2);
         assert!(a[0].kind == AccessKind::Read && a[1].kind == AccessKind::Write);
+    }
+
+    #[test]
+    fn nested_read_modify_writes_stay_linear() {
+        // Each shape nests 16 read-modify-writes; walking every operand
+        // twice would record 2^16 accesses.
+        let mut dec = "x".to_string();
+        let mut compound = "x".to_string();
+        let mut subscript = "i".to_string();
+        for _ in 0..16 {
+            dec = format!("--{dec}");
+            compound = format!("({compound} += 1)");
+            subscript = format!("a[{subscript}]++");
+        }
+        let shapes =
+            [(format!("x = {dec};"), 3), (format!("{compound};"), 2), (format!("{subscript};"), 33)];
+        for (body, count) in shapes {
+            let a = body_accesses(&format!("void f(int x, int i, int* a) {{ {body} }}"));
+            assert_eq!(a.len(), count, "{body}");
+        }
+    }
+
+    #[test]
+    fn subscripts_of_a_read_modify_write_are_read_once() {
+        let a = body_accesses("void f(int* a, int i) { a[i] += 1; }");
+        let seen: Vec<_> = a.iter().map(|x| (x.var.as_str(), x.kind)).collect();
+        assert_eq!(
+            seen,
+            [("i", AccessKind::Read), ("a", AccessKind::Read), ("a", AccessKind::Write)]
+        );
     }
 
     #[test]

@@ -74,14 +74,6 @@ pub fn check_source(src: &str, cfg: &Config) -> Result<DynReport, Box<dyn std::e
     Ok(check(&unit, cfg)?)
 }
 
-/// Uniform yes/no verdict adapter over the adversarial schedule sweep
-/// (the shape the `xcheck` differential harness compares across
-/// detectors). `Err` means the program could not be executed (out of
-/// fuel, bad address, …), not "no race".
-pub fn verdict(unit: &TranslationUnit, base: &Config, seeds: &[u64]) -> Result<bool, RtError> {
-    check_adversarial(unit, base, seeds).map(|r| r.has_race())
-}
-
 /// Union reports across several seeds (adversarial schedule exploration).
 ///
 /// Equivalent to running [`check`] per seed and merging in seed order,
@@ -99,30 +91,15 @@ pub fn check_adversarial(
     check_adversarial_with_workers(unit, base, seeds, par::default_workers())
 }
 
-/// [`check_adversarial`] with an explicit worker count.
+/// [`check_adversarial`] with an explicit worker count: the compiled
+/// sweep with no program, so every seed runs on the AST interpreter.
 pub fn check_adversarial_with_workers(
     unit: &TranslationUnit,
     base: &Config,
     seeds: &[u64],
     workers: usize,
 ) -> Result<DynReport, RtError> {
-    let Some((&first, rest)) = seeds.split_first() else {
-        return Ok(DynReport::default());
-    };
-    let out = run(unit, &Config { seed: first, ..base.clone() })?;
-    let mut merged = analyze(&out.trace);
-    if !out.schedule_sensitive || rest.is_empty() {
-        // Every seed replays this exact trace; merging identical reports
-        // is the identity, so the sweep is already complete.
-        return Ok(merged);
-    }
-    let results = par::par_map(rest, workers, |&seed| {
-        check(unit, &Config { seed, ..base.clone() })
-    });
-    for r in results {
-        merged.merge(r?);
-    }
-    Ok(merged)
+    check_adversarial_compiled_with_workers(unit, None, base, seeds, workers).map(|s| s.report)
 }
 
 /// Result of a compiled adversarial sweep: the merged report plus
@@ -181,16 +158,6 @@ pub fn check_adversarial_compiled_with_workers(
         merged.merge(r?);
     }
     Ok(CompiledSweep { report: merged, fell_back })
-}
-
-/// [`verdict`] via the bytecode fast path with interpreter fallback.
-pub fn verdict_compiled(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    base: &Config,
-    seeds: &[u64],
-) -> Result<bool, RtError> {
-    check_adversarial_compiled(unit, prog, base, seeds).map(|s| s.report.has_race())
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //! [`observe_oracle`] mirrors [`run_oracle`](crate::exec::run_oracle):
 //! bytecode first, interpreter fallback on rejection or executor error,
 //! with the engine choice reported out-of-band so equivalence verdicts
-//! never depend on which engine ran.
+//! never depend on which engine ran. It hands back the run's trace
+//! beside the observation, so one execution can feed both the
+//! happens-before analysis and the output comparison.
 //!
 //! Comparison ([`first_difference`]) is byte-identical: floats compare
 //! by bit pattern, not by `==`, so `-0.0` vs `0.0` (and NaN payloads)
@@ -32,6 +34,7 @@
 use crate::exec::run_program_with_globals;
 use crate::interp::{run_with_globals, Config, RtResult};
 use crate::ir::Program;
+use crate::trace::Trace;
 use crate::value::Value;
 use minic::ast::{Item, TranslationUnit};
 
@@ -51,13 +54,15 @@ pub struct Observation {
     pub schedule_sensitive: bool,
 }
 
-/// An [`Observation`] plus which engine produced it (the same
-/// side-channel contract as [`OracleRun`](crate::ir::OracleRun):
-/// `fell_back` feeds metrics, never verdicts).
+/// An [`Observation`] and the trace of the run it came from, plus which
+/// engine produced them (the same side-channel contract as
+/// [`OracleRun`](crate::ir::OracleRun): `fell_back` feeds metrics,
+/// never verdicts).
 #[derive(Debug)]
 pub struct ObservedRun {
-    /// The observation, or the runtime error both engines agreed on.
-    pub output: RtResult<Observation>,
+    /// The observation and its run's trace, or the runtime error both
+    /// engines agreed on.
+    pub output: RtResult<(Observation, Trace)>,
     /// True when the AST interpreter produced the output.
     pub fell_back: bool,
 }
@@ -76,21 +81,26 @@ pub fn global_names(unit: &TranslationUnit) -> Vec<String> {
     names
 }
 
-fn pack(unit: &TranslationUnit, out: crate::interp::RunOutput, globals: Vec<Vec<Value>>) -> Observation {
+fn pack(
+    unit: &TranslationUnit,
+    out: crate::interp::RunOutput,
+    globals: Vec<Vec<Value>>,
+) -> (Observation, Trace) {
     let names = global_names(unit);
     debug_assert_eq!(names.len(), globals.len(), "one snapshot per file-scope declarator");
-    Observation {
+    let obs = Observation {
         printed: out.printed,
         exit: out.exit,
         globals: names.into_iter().zip(globals).collect(),
         schedule_sensitive: out.schedule_sensitive,
-    }
+    };
+    (obs, out.trace)
 }
 
 /// Observe one AST-interpreter run.
 pub fn observe(unit: &TranslationUnit, cfg: &Config) -> RtResult<Observation> {
     let (out, globals) = run_with_globals(unit, cfg)?;
-    Ok(pack(unit, out, globals))
+    Ok(pack(unit, out, globals).0)
 }
 
 /// Observe one run through the bytecode fast path with interpreter
@@ -103,7 +113,8 @@ pub fn observe_oracle(unit: &TranslationUnit, prog: Option<&Program>, cfg: &Conf
             return ObservedRun { output: Ok(pack(unit, out, globals)), fell_back: false };
         }
     }
-    ObservedRun { output: observe(unit, cfg), fell_back: true }
+    let output = run_with_globals(unit, cfg).map(|(out, globals)| pack(unit, out, globals));
+    ObservedRun { output, fell_back: true }
 }
 
 /// Bit-precise value identity (floats by bit pattern, so NaNs and
@@ -190,7 +201,9 @@ mod tests {
             let via_interp = observe(&unit, &cfg(seed)).unwrap();
             let via_exec = observe_oracle(&unit, Some(&prog), &cfg(seed));
             assert!(!via_exec.fell_back);
-            assert_eq!(via_interp, via_exec.output.unwrap());
+            let (obs, trace) = via_exec.output.unwrap();
+            assert_eq!(via_interp, obs);
+            assert_eq!(trace, crate::run(&unit, &cfg(seed)).unwrap().trace);
         }
     }
 
@@ -213,7 +226,7 @@ mod tests {
         let unit = minic::parse(SUM).unwrap();
         let run = observe_oracle(&unit, None, &cfg(1));
         assert!(run.fell_back);
-        assert_eq!(run.output.unwrap(), observe(&unit, &cfg(1)).unwrap());
+        assert_eq!(run.output.unwrap().0, observe(&unit, &cfg(1)).unwrap());
     }
 
     #[test]

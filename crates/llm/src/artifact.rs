@@ -20,8 +20,7 @@
 use crate::features::CodeFeatures;
 use crate::profile::{ModelKind, PromptStrategy};
 use crate::tokenizer::{tokenize, Token};
-use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Width of the hashed n-gram vector.
 pub const NGRAM_DIM: usize = 256;
@@ -134,24 +133,10 @@ pub struct AnalyzedKernel {
     /// Memoized calibrated yes/no answers (filled lazily by
     /// [`Surrogate::predict_memo`](crate::Surrogate::predict_memo)).
     pub predict_memo: PredictMemo,
-    /// Lazily-lowered bytecode program for the dynamic oracle, tagged
-    /// with the [`hbsan::FORMAT_VERSION`] it was lowered under. Inner
+    /// Lazily-lowered bytecode program for the dynamic oracle. Inner
     /// `None` means lowering was attempted and rejected (or there is no
     /// AST); callers fall back to the AST interpreter.
-    oracle_program: OnceLock<Option<(u32, hbsan::Program)>>,
-    /// Lazily-computed repair artifact (see [`AnalyzedKernel::repair_memo`]).
-    repair_memo: RepairMemoSlot,
-}
-
-/// Type-erased once-cell for the repair artifact (trait objects have no
-/// `Debug`, so the slot reports only whether it is filled).
-#[derive(Default)]
-struct RepairMemoSlot(OnceLock<Arc<dyn Any + Send + Sync>>);
-
-impl std::fmt::Debug for RepairMemoSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.get().is_some() { "RepairMemoSlot(set)" } else { "RepairMemoSlot(empty)" })
-    }
+    oracle_program: OnceLock<Option<hbsan::Program>>,
 }
 
 impl AnalyzedKernel {
@@ -182,50 +167,17 @@ impl AnalyzedKernel {
             surface_difficulty,
             predict_memo: PredictMemo::default(),
             oracle_program: OnceLock::new(),
-            repair_memo: RepairMemoSlot::default(),
         }
     }
 
     /// The kernel's bytecode oracle program, lowered at most once per
     /// artifact and shared by every subsequent schedule sweep. `None`
-    /// when the code does not parse, when `hbsan::lower` rejects the
-    /// kernel (sections/single/tasks — the interpreter fallback path),
-    /// or when the cached program was lowered under a different IR
-    /// format version (never happens in-process; guards any future
-    /// serialized reuse the same way `PredictMemo` fingerprints do).
+    /// when the code does not parse or when `hbsan::lower` rejects the
+    /// kernel (sections/single/tasks — the interpreter fallback path).
     pub fn oracle_program(&self) -> Option<&hbsan::Program> {
-        let slot = self.oracle_program.get_or_init(|| {
-            let unit = self.ast.as_ref()?;
-            Some((hbsan::FORMAT_VERSION, hbsan::lower(unit).ok()?))
-        });
-        match slot {
-            Some((v, p)) if *v == hbsan::FORMAT_VERSION => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The kernel's repair artifact, computed at most once per artifact
-    /// and shared by every consumer (CLI sweep, serving workers, bench
-    /// warm paths). The repair crate sits *downstream* of this one, so
-    /// the slot is type-erased; the typed accessor downcasts and — like
-    /// `PredictMemo` on a fingerprint miss — degrades to computing
-    /// fresh, without poisoning the slot, if a different type ever
-    /// claimed it first (no in-process caller does).
-    pub fn repair_memo<T, F>(&self, build: F) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let mut build = Some(build);
-        let slot = self.repair_memo.0.get_or_init(|| {
-            Arc::new(build.take().expect("init closure runs at most once")())
-        });
-        match Arc::clone(slot).downcast::<T>() {
-            Ok(t) => t,
-            // A downcast miss means the slot was already filled by some
-            // other type, so our closure never ran and `build` is intact.
-            Err(_) => Arc::new(build.take().expect("downcast miss implies unconsumed builder")()),
-        }
+        self.oracle_program
+            .get_or_init(|| hbsan::lower(self.ast.as_ref()?).ok())
+            .as_ref()
     }
 }
 
@@ -283,29 +235,6 @@ mod tests {
         let s = AnalyzedKernel::analyze(sections);
         assert!(s.ast.is_some());
         assert!(s.oracle_program().is_none());
-    }
-
-    #[test]
-    fn repair_memo_computes_once_and_is_type_scoped() {
-        let a = AnalyzedKernel::analyze(RACY);
-        let mut builds = 0;
-        let first = a.repair_memo(|| {
-            builds += 1;
-            String::from("artifact")
-        });
-        let again = a.repair_memo(|| {
-            builds += 1;
-            String::from("never built")
-        });
-        assert_eq!(builds, 1, "second call must hit the cache");
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(*first, "artifact");
-        // A different type cannot read the slot (degrades to a fresh
-        // computation instead of a bogus downcast).
-        let other: Arc<u32> = a.repair_memo(|| 7u32);
-        assert_eq!(*other, 7);
-        // ...and the original claimant still sees its value.
-        assert_eq!(*a.repair_memo(String::new), "artifact");
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod visit;
 
 pub use ast::TranslationUnit;
 pub use diff::{diff_size, unified_diff};
-pub use error::{ParseError, Result};
-pub use parser::parse;
+pub use error::{ErrorKind, ParseError, Result};
+pub use parser::{parse, MAX_DEPTH};
 #[cfg(feature = "count-parses")]
 pub use parser::{parse_count, reset_parse_count};
 pub use printer::print_unit;

@@ -25,6 +25,15 @@ mod counter {
     pub static PARSE_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 }
 
+/// Deepest AST nesting the parser accepts. Every statement, operator,
+/// and parenthesized group is one level; a left-deep chain such as
+/// `1 + 1 + … + 1` nests one level per operator even though no
+/// parenthesis is written. Deeper input is refused with
+/// [`ErrorKind::TooDeep`](crate::ErrorKind::TooDeep), so every pass
+/// that recurses over the AST runs in bounded stack. C11 §5.2.4.1 asks
+/// for at least 63 nested parentheses and 127 nested blocks.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a complete source file.
 pub fn parse(src: &str) -> Result<TranslationUnit> {
     #[cfg(feature = "count-parses")]
@@ -38,16 +47,63 @@ pub fn parse_pragma_text(text: &str, span: Span) -> Result<Directive> {
     Parser::parse_directive_text(text, span)
 }
 
-/// The parser state: a token buffer and a cursor.
+/// The parser state: a token buffer, a cursor, and the nesting budget.
 pub struct Parser {
     toks: Vec<Token>,
     idx: usize,
+    /// Nesting level of the construct being parsed.
+    depth: usize,
+    /// Deepest level reached by the construct under construction; an
+    /// iteratively built chain shifts it as it wraps (see
+    /// [`Parser::wrap`]).
+    deepest: usize,
 }
 
 impl Parser {
     /// Create a parser over a token stream (must end with `Eof`).
     pub fn new(toks: Vec<Token>) -> Self {
-        Parser { toks, idx: 0 }
+        Parser { toks, idx: 0, depth: 0, deepest: 0 }
+    }
+
+    /// Note that the tree reaches nesting level `level`, refusing input
+    /// past [`MAX_DEPTH`].
+    fn reach(&mut self, level: usize) -> Result<()> {
+        if level > MAX_DEPTH {
+            return Err(ParseError::too_deep(self.peek().span));
+        }
+        self.deepest = self.deepest.max(level);
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper. (A plain `fn`, not a closure:
+    /// every frame on the recursive path counts against the stack the
+    /// budget protects.)
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T>) -> Result<T> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Start a left-deep chain (binary operators, subscripts, postfix
+    /// `++`/`--`) built by a loop rather than recursion. Each wrap
+    /// pushes every node built so far one level down, which the
+    /// recursion depth never sees, so the chain tracks the deepest level
+    /// it reached ([`Parser::wrap`]). Returns the enclosing chain's
+    /// mark for [`Parser::end_chain`].
+    fn start_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.deepest, self.depth)
+    }
+
+    /// The chain wraps its operands in one more node.
+    fn wrap(&mut self) -> Result<()> {
+        self.reach(self.deepest + 1)
+    }
+
+    /// Close a chain opened by [`Parser::start_chain`].
+    fn end_chain(&mut self, outer: usize) {
+        self.deepest = self.deepest.max(outer);
     }
 
     fn peek(&self) -> &Token {
@@ -309,10 +365,15 @@ impl Parser {
         };
         let mut pointers = 0u8;
         while self.at_punct(Punct::Star) {
-            self.bump();
-            pointers += 1;
+            pointers = self.one_more_star(pointers)?;
         }
         Ok(Type { base, pointers, unsigned, is_const, dims: Vec::new() })
+    }
+
+    /// Consume a `*` of a declarator; pointer levels are nesting too.
+    fn one_more_star(&mut self, pointers: u8) -> Result<u8> {
+        let span = self.bump().span;
+        pointers.checked_add(1).ok_or_else(|| ParseError::too_deep(span))
     }
 
     fn parse_decl(&mut self) -> Result<Decl> {
@@ -324,8 +385,7 @@ impl Parser {
             let mut ty = base_ty.clone();
             // Additional per-declarator stars (`int *p, x`).
             while self.at_punct(Punct::Star) {
-                self.bump();
-                ty.pointers += 1;
+                ty.pointers = self.one_more_star(ty.pointers)?;
             }
             let (name, span) = self.expect_ident()?;
             while self.at_punct(Punct::LBracket) {
@@ -387,107 +447,117 @@ impl Parser {
 
     /// Parse a single statement (public for directive-body reuse in tests).
     pub fn parse_stmt(&mut self) -> Result<Stmt> {
+        // #include inside a body: skip it.
+        while matches!(self.peek().kind, TokKind::PpDirective(_)) {
+            self.bump();
+        }
+        self.nested(Self::parse_stmt_here)
+    }
+
+    // Statement and expression parsers keep one small function per
+    // construct: in unoptimized builds a frame holds every local of
+    // every match arm, and these frames repeat once per nesting level.
+    fn parse_stmt_here(&mut self) -> Result<Stmt> {
         match &self.peek().kind {
-            TokKind::PpDirective(_) => {
-                // #include inside a body: skip it.
-                self.bump();
-                self.parse_stmt()
-            }
-            TokKind::Pragma(_) => {
-                let t = self.bump();
-                let TokKind::Pragma(text) = t.kind else { unreachable!() };
-                let dir = Self::parse_directive_text(&text, t.span)?;
-                let body = if dir.kind.takes_body() {
-                    Some(Box::new(self.parse_stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::Omp { dir, body, span: t.span })
-            }
-            TokKind::Punct(Punct::LBrace) => Ok(Stmt::Block(self.parse_block()?)),
-            TokKind::Punct(Punct::Semi) => {
-                let t = self.bump();
-                Ok(Stmt::Empty(t.span))
-            }
-            TokKind::Keyword(Keyword::If) => {
-                let span = self.bump().span;
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let then = Box::new(self.parse_stmt()?);
-                let els = if self.at_kw(Keyword::Else) {
-                    self.bump();
-                    Some(Box::new(self.parse_stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::If { cond, then, els, span })
-            }
-            TokKind::Keyword(Keyword::For) => {
-                let span = self.bump().span;
-                self.expect_punct(Punct::LParen)?;
-                let init = if self.at_punct(Punct::Semi) {
-                    self.bump();
-                    ForInit::Empty
-                } else if self.at_type_start() {
-                    ForInit::Decl(self.parse_decl()?)
-                } else {
-                    let e = self.parse_expr()?;
-                    self.expect_punct(Punct::Semi)?;
-                    ForInit::Expr(e)
-                };
-                let cond = if self.at_punct(Punct::Semi) { None } else { Some(self.parse_expr()?) };
-                self.expect_punct(Punct::Semi)?;
-                let step =
-                    if self.at_punct(Punct::RParen) { None } else { Some(self.parse_expr()?) };
-                self.expect_punct(Punct::RParen)?;
-                let body = self.parse_stmt()?;
-                Ok(Stmt::For(Box::new(ForStmt { init, cond, step, body, span })))
-            }
-            TokKind::Keyword(Keyword::While) => {
-                let span = self.bump().span;
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
-                Ok(Stmt::While { cond, body, span })
-            }
-            TokKind::Keyword(Keyword::Do) => {
-                let span = self.bump().span;
-                let body = Box::new(self.parse_stmt()?);
-                if !self.at_kw(Keyword::While) {
-                    return Err(self.err("expected `while` after `do` body"));
-                }
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect_punct(Punct::RParen)?;
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::DoWhile { body, cond, span })
-            }
-            TokKind::Keyword(Keyword::Return) => {
-                let span = self.bump().span;
-                let e = if self.at_punct(Punct::Semi) { None } else { Some(self.parse_expr()?) };
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Return(e, span))
-            }
-            TokKind::Keyword(Keyword::Break) => {
-                let span = self.bump().span;
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Break(span))
-            }
-            TokKind::Keyword(Keyword::Continue) => {
-                let span = self.bump().span;
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Continue(span))
-            }
-            _ if self.at_type_start() => Ok(Stmt::Decl(self.parse_decl()?)),
+            TokKind::Pragma(_) => self.parse_omp_stmt(),
+            TokKind::Punct(Punct::LBrace) => self.parse_block().map(Stmt::Block),
+            TokKind::Punct(Punct::Semi) => Ok(Stmt::Empty(self.bump().span)),
+            TokKind::Keyword(Keyword::If) => self.parse_if(),
+            TokKind::Keyword(Keyword::For) => self.parse_for(),
+            TokKind::Keyword(Keyword::While) => self.parse_while(),
+            TokKind::Keyword(Keyword::Do) => self.parse_do_while(),
+            TokKind::Keyword(Keyword::Return) => self.parse_return(),
+            TokKind::Keyword(Keyword::Break) => self.parse_jump(Stmt::Break),
+            TokKind::Keyword(Keyword::Continue) => self.parse_jump(Stmt::Continue),
+            _ if self.at_type_start() => self.parse_decl().map(Stmt::Decl),
             _ => {
                 let e = self.parse_expr()?;
                 self.expect_punct(Punct::Semi)?;
                 Ok(Stmt::Expr(e))
             }
         }
+    }
+
+    fn parse_omp_stmt(&mut self) -> Result<Stmt> {
+        let t = self.bump();
+        let TokKind::Pragma(text) = t.kind else { unreachable!() };
+        let dir = Self::parse_directive_text(&text, t.span)?;
+        let body = if dir.kind.takes_body() { Some(Box::new(self.parse_stmt()?)) } else { None };
+        Ok(Stmt::Omp { dir, body, span: t.span })
+    }
+
+    fn parse_if(&mut self) -> Result<Stmt> {
+        let span = self.bump().span;
+        let cond = self.parse_paren_cond()?;
+        let then = Box::new(self.parse_stmt()?);
+        let els = if self.at_kw(Keyword::Else) {
+            self.bump();
+            Some(Box::new(self.parse_stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt::If { cond, then, els, span })
+    }
+
+    fn parse_for(&mut self) -> Result<Stmt> {
+        let span = self.bump().span;
+        self.expect_punct(Punct::LParen)?;
+        let init = if self.at_punct(Punct::Semi) {
+            self.bump();
+            ForInit::Empty
+        } else if self.at_type_start() {
+            ForInit::Decl(self.parse_decl()?)
+        } else {
+            let e = self.parse_expr()?;
+            self.expect_punct(Punct::Semi)?;
+            ForInit::Expr(e)
+        };
+        let cond = if self.at_punct(Punct::Semi) { None } else { Some(self.parse_expr()?) };
+        self.expect_punct(Punct::Semi)?;
+        let step = if self.at_punct(Punct::RParen) { None } else { Some(self.parse_expr()?) };
+        self.expect_punct(Punct::RParen)?;
+        let body = self.parse_stmt()?;
+        Ok(Stmt::For(Box::new(ForStmt { init, cond, step, body, span })))
+    }
+
+    fn parse_while(&mut self) -> Result<Stmt> {
+        let span = self.bump().span;
+        let cond = self.parse_paren_cond()?;
+        let body = Box::new(self.parse_stmt()?);
+        Ok(Stmt::While { cond, body, span })
+    }
+
+    fn parse_do_while(&mut self) -> Result<Stmt> {
+        let span = self.bump().span;
+        let body = Box::new(self.parse_stmt()?);
+        if !self.at_kw(Keyword::While) {
+            return Err(self.err("expected `while` after `do` body"));
+        }
+        self.bump();
+        let cond = self.parse_paren_cond()?;
+        self.expect_punct(Punct::Semi)?;
+        Ok(Stmt::DoWhile { body, cond, span })
+    }
+
+    fn parse_return(&mut self) -> Result<Stmt> {
+        let span = self.bump().span;
+        let e = if self.at_punct(Punct::Semi) { None } else { Some(self.parse_expr()?) };
+        self.expect_punct(Punct::Semi)?;
+        Ok(Stmt::Return(e, span))
+    }
+
+    fn parse_jump(&mut self, make: fn(Span) -> Stmt) -> Result<Stmt> {
+        let span = self.bump().span;
+        self.expect_punct(Punct::Semi)?;
+        Ok(make(span))
+    }
+
+    /// `( expr )` after `if` / `while`.
+    fn parse_paren_cond(&mut self) -> Result<Expr> {
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect_punct(Punct::RParen)?;
+        Ok(cond)
     }
 
     // ---------------------------------------------------------------
@@ -500,7 +570,10 @@ impl Parser {
     }
 
     fn parse_assign_expr(&mut self) -> Result<Expr> {
-        let lhs = self.parse_cond_expr()?;
+        self.parse_cond_expr().and_then(|lhs| self.parse_assign_tail(lhs))
+    }
+
+    fn parse_assign_tail(&mut self, lhs: Expr) -> Result<Expr> {
         let op = match self.peek().kind {
             TokKind::Punct(Punct::Assign) => AssignOp::Assign,
             TokKind::Punct(Punct::PlusAssign) => AssignOp::Add,
@@ -515,28 +588,33 @@ impl Parser {
             TokKind::Punct(Punct::ShrAssign) => AssignOp::Shr,
             _ => return Ok(lhs),
         };
+        self.parse_assign_rhs(lhs, op)
+    }
+
+    fn parse_assign_rhs(&mut self, lhs: Expr, op: AssignOp) -> Result<Expr> {
         self.bump();
-        let rhs = self.parse_assign_expr()?;
+        let rhs = self.nested(Self::parse_assign_expr)?;
         let span = lhs.span().to(rhs.span());
         Ok(Expr::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span })
     }
 
     fn parse_cond_expr(&mut self) -> Result<Expr> {
-        let cond = self.parse_bin_expr(0)?;
-        if self.eat_punct(Punct::Question) {
-            let then = self.parse_assign_expr()?;
-            self.expect_punct(Punct::Colon)?;
-            let els = self.parse_cond_expr()?;
-            let span = cond.span().to(els.span());
-            Ok(Expr::Cond {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                els: Box::new(els),
-                span,
-            })
-        } else {
-            Ok(cond)
-        }
+        self.parse_bin_expr(0).and_then(|cond| {
+            if self.at_punct(Punct::Question) {
+                self.parse_ternary(cond)
+            } else {
+                Ok(cond)
+            }
+        })
+    }
+
+    fn parse_ternary(&mut self, cond: Expr) -> Result<Expr> {
+        self.bump();
+        let then = self.nested(Self::parse_assign_expr)?;
+        self.expect_punct(Punct::Colon)?;
+        let els = self.nested(Self::parse_cond_expr)?;
+        let span = cond.span().to(els.span());
+        Ok(Expr::Cond { cond: Box::new(cond), then: Box::new(then), els: Box::new(els), span })
     }
 
     fn bin_op_prec(&self) -> Option<(BinOp, u8)> {
@@ -565,170 +643,176 @@ impl Parser {
     }
 
     fn parse_bin_expr(&mut self, min_prec: u8) -> Result<Expr> {
-        let mut lhs = self.parse_unary_expr()?;
+        let outer = self.start_chain();
+        let e = self.parse_unary_expr().and_then(|lhs| self.parse_bin_ops(lhs, min_prec));
+        self.end_chain(outer);
+        e
+    }
+
+    fn parse_bin_ops(&mut self, mut lhs: Expr, min_prec: u8) -> Result<Expr> {
         while let Some((op, prec)) = self.bin_op_prec() {
             if prec < min_prec {
                 break;
             }
-            self.bump();
-            let rhs = self.parse_bin_expr(prec + 1)?;
-            let span = lhs.span().to(rhs.span());
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
+            lhs = self.parse_bin_rhs(lhs, op, prec)?;
         }
         Ok(lhs)
     }
 
+    fn parse_bin_rhs(&mut self, lhs: Expr, op: BinOp, prec: u8) -> Result<Expr> {
+        self.bump();
+        self.wrap()?;
+        let rhs = self.parse_bin_expr(prec + 1)?;
+        let span = lhs.span().to(rhs.span());
+        Ok(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span })
+    }
+
     fn parse_unary_expr(&mut self) -> Result<Expr> {
-        let span = self.peek().span;
-        match self.peek().kind {
-            TokKind::Punct(Punct::Minus) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(e), span })
-            }
-            TokKind::Punct(Punct::Bang) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(e), span })
-            }
+        self.nested(Self::parse_unary_here)
+    }
+
+    fn parse_unary_here(&mut self) -> Result<Expr> {
+        let build: fn(Box<Expr>, Span) -> Expr = match self.peek().kind {
+            TokKind::Punct(Punct::Minus) => |expr, span| Expr::Unary { op: UnOp::Neg, expr, span },
+            TokKind::Punct(Punct::Bang) => |expr, span| Expr::Unary { op: UnOp::Not, expr, span },
             TokKind::Punct(Punct::Tilde) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::Unary { op: UnOp::BitNot, expr: Box::new(e), span })
+                |expr, span| Expr::Unary { op: UnOp::BitNot, expr, span }
             }
-            TokKind::Punct(Punct::Star) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::Unary { op: UnOp::Deref, expr: Box::new(e), span })
-            }
+            TokKind::Punct(Punct::Star) => |expr, span| Expr::Unary { op: UnOp::Deref, expr, span },
             TokKind::Punct(Punct::Amp) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::Unary { op: UnOp::AddrOf, expr: Box::new(e), span })
+                |expr, span| Expr::Unary { op: UnOp::AddrOf, expr, span }
             }
             TokKind::Punct(Punct::PlusPlus) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::IncDec { inc: true, prefix: true, expr: Box::new(e), span })
+                |expr, span| Expr::IncDec { inc: true, prefix: true, expr, span }
             }
             TokKind::Punct(Punct::MinusMinus) => {
-                self.bump();
-                let e = self.parse_unary_expr()?;
-                let span = span.to(e.span());
-                Ok(Expr::IncDec { inc: false, prefix: true, expr: Box::new(e), span })
+                |expr, span| Expr::IncDec { inc: false, prefix: true, expr, span }
             }
             TokKind::Punct(Punct::Plus) => {
                 self.bump();
-                self.parse_unary_expr()
+                return self.parse_unary_expr();
             }
-            TokKind::Keyword(Keyword::Sizeof) => {
-                self.bump();
-                // sizeof(type) or sizeof expr — we fold both to IntLit 8.
-                if self.at_punct(Punct::LParen) {
-                    self.bump();
-                    if self.at_type_start() {
-                        let _ = self.parse_type()?;
-                    } else {
-                        let _ = self.parse_expr()?;
-                    }
-                    let end = self.expect_punct(Punct::RParen)?;
-                    Ok(Expr::IntLit { value: 8, span: span.to(end) })
-                } else {
-                    let e = self.parse_unary_expr()?;
-                    Ok(Expr::IntLit { value: 8, span: span.to(e.span()) })
-                }
+            TokKind::Keyword(Keyword::Sizeof) => return self.parse_sizeof(),
+            _ => return self.parse_postfix_expr(),
+        };
+        self.parse_prefix(build)
+    }
+
+    fn parse_prefix(&mut self, build: fn(Box<Expr>, Span) -> Expr) -> Result<Expr> {
+        let start = self.bump().span;
+        let e = self.parse_unary_expr()?;
+        let span = start.to(e.span());
+        Ok(build(Box::new(e), span))
+    }
+
+    /// `sizeof(type)` or `sizeof expr` — both fold to `IntLit 8`.
+    fn parse_sizeof(&mut self) -> Result<Expr> {
+        let span = self.bump().span;
+        if self.at_punct(Punct::LParen) {
+            self.bump();
+            if self.at_type_start() {
+                let _ = self.parse_type()?;
+            } else {
+                let _ = self.parse_expr()?;
             }
-            _ => self.parse_postfix_expr(),
+            let end = self.expect_punct(Punct::RParen)?;
+            Ok(Expr::IntLit { value: 8, span: span.to(end) })
+        } else {
+            let e = self.parse_unary_expr()?;
+            Ok(Expr::IntLit { value: 8, span: span.to(e.span()) })
         }
     }
 
     fn parse_postfix_expr(&mut self) -> Result<Expr> {
-        let mut e = self.parse_primary_expr()?;
+        let outer = self.start_chain();
+        let e = self.parse_primary_expr().and_then(|e| self.parse_postfix_ops(e));
+        self.end_chain(outer);
+        e
+    }
+
+    fn parse_postfix_ops(&mut self, mut e: Expr) -> Result<Expr> {
         loop {
-            match self.peek().kind {
-                TokKind::Punct(Punct::LBracket) => {
-                    self.bump();
-                    let idx = self.parse_expr()?;
-                    let end = self.expect_punct(Punct::RBracket)?;
-                    let span = e.span().to(end);
-                    e = Expr::Index { base: Box::new(e), index: Box::new(idx), span };
-                }
-                TokKind::Punct(Punct::PlusPlus) => {
-                    let t = self.bump();
-                    let span = e.span().to(t.span);
-                    e = Expr::IncDec { inc: true, prefix: false, expr: Box::new(e), span };
-                }
-                TokKind::Punct(Punct::MinusMinus) => {
-                    let t = self.bump();
-                    let span = e.span().to(t.span);
-                    e = Expr::IncDec { inc: false, prefix: false, expr: Box::new(e), span };
-                }
+            e = match self.peek().kind {
+                TokKind::Punct(Punct::LBracket) => self.parse_index(e)?,
+                TokKind::Punct(Punct::PlusPlus) => self.parse_postfix_incdec(e, true)?,
+                TokKind::Punct(Punct::MinusMinus) => self.parse_postfix_incdec(e, false)?,
                 _ => return Ok(e),
-            }
+            };
         }
     }
 
+    fn parse_index(&mut self, base: Expr) -> Result<Expr> {
+        self.bump();
+        self.wrap()?;
+        let idx = self.parse_expr()?;
+        let end = self.expect_punct(Punct::RBracket)?;
+        let span = base.span().to(end);
+        Ok(Expr::Index { base: Box::new(base), index: Box::new(idx), span })
+    }
+
+    fn parse_postfix_incdec(&mut self, e: Expr, inc: bool) -> Result<Expr> {
+        let end = self.bump().span;
+        self.wrap()?;
+        let span = e.span().to(end);
+        Ok(Expr::IncDec { inc, prefix: false, expr: Box::new(e), span })
+    }
+
     fn parse_primary_expr(&mut self) -> Result<Expr> {
-        let t = self.peek().clone();
-        match t.kind {
-            TokKind::IntLit(v) => {
-                self.bump();
-                Ok(Expr::IntLit { value: v, span: t.span })
-            }
-            TokKind::FloatLit(v) => {
-                self.bump();
-                Ok(Expr::FloatLit { value: v, span: t.span })
-            }
-            TokKind::StrLit(s) => {
-                self.bump();
-                Ok(Expr::StrLit { value: s, span: t.span })
-            }
-            TokKind::CharLit(c) => {
-                self.bump();
-                Ok(Expr::CharLit { value: c, span: t.span })
-            }
-            TokKind::Ident(name) => {
-                self.bump();
-                if self.at_punct(Punct::LParen) {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.at_punct(Punct::RParen) {
-                        loop {
-                            args.push(self.parse_assign_expr()?);
-                            if !self.eat_punct(Punct::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    let end = self.expect_punct(Punct::RParen)?;
-                    Ok(Expr::Call { callee: name, args, span: t.span.to(end) })
-                } else {
-                    Ok(Expr::Ident { name, span: t.span })
-                }
-            }
-            TokKind::Punct(Punct::LParen) => {
-                self.bump();
-                if self.at_type_start() {
-                    // Cast.
-                    let ty = self.parse_type()?;
-                    self.expect_punct(Punct::RParen)?;
-                    let e = self.parse_unary_expr()?;
-                    let span = t.span.to(e.span());
-                    Ok(Expr::Cast { ty, expr: Box::new(e), span })
-                } else {
-                    let e = self.parse_expr()?;
-                    self.expect_punct(Punct::RParen)?;
-                    Ok(e)
-                }
-            }
-            other => Err(ParseError::new(format!("expected expression, found `{other}`"), t.span)),
+        if self.at_punct(Punct::LParen) {
+            let start = self.peek().span;
+            return self.parse_paren_or_cast(start);
         }
+        self.parse_atom()
+    }
+
+    fn parse_atom(&mut self) -> Result<Expr> {
+        let span = self.peek().span;
+        let e = match &self.peek().kind {
+            TokKind::IntLit(v) => Expr::IntLit { value: *v, span },
+            TokKind::FloatLit(v) => Expr::FloatLit { value: *v, span },
+            TokKind::StrLit(s) => Expr::StrLit { value: s.clone(), span },
+            TokKind::CharLit(c) => Expr::CharLit { value: *c, span },
+            TokKind::Ident(name) if self.peek_at(1).kind == TokKind::Punct(Punct::LParen) => {
+                let callee = name.clone();
+                return self.parse_call(callee, span);
+            }
+            TokKind::Ident(name) => Expr::Ident { name: name.clone(), span },
+            other => return Err(ParseError::new(format!("expected expression, found `{other}`"), span)),
+        };
+        self.bump();
+        Ok(e)
+    }
+
+    fn parse_call(&mut self, callee: String, start: Span) -> Result<Expr> {
+        self.bump();
+        self.bump();
+        let mut args = Vec::new();
+        if !self.at_punct(Punct::RParen) {
+            loop {
+                args.push(self.parse_assign_expr()?);
+                if !self.eat_punct(Punct::Comma) {
+                    break;
+                }
+            }
+        }
+        let end = self.expect_punct(Punct::RParen)?;
+        Ok(Expr::Call { callee, args, span: start.to(end) })
+    }
+
+    fn parse_paren_or_cast(&mut self, start: Span) -> Result<Expr> {
+        self.bump();
+        if self.at_type_start() {
+            return self.parse_cast(start);
+        }
+        self.parse_assign_expr().and_then(|e| self.expect_punct(Punct::RParen).map(|_| e))
+    }
+
+    fn parse_cast(&mut self, start: Span) -> Result<Expr> {
+        let ty = self.parse_type()?;
+        self.expect_punct(Punct::RParen)?;
+        let e = self.parse_unary_expr()?;
+        let span = start.to(e.span());
+        Ok(Expr::Cast { ty, expr: Box::new(e), span })
     }
 
     // ---------------------------------------------------------------
@@ -749,8 +833,11 @@ impl Parser {
         let body = rest["omp".len()..].trim_start();
         let toks = Lexer::tokenize(body).map_err(|e| ParseError::new(e.msg, span))?;
         let mut p = Parser::new(toks);
-        p.parse_omp_directive(span)
-            .map_err(|e| ParseError::new(format!("in `#pragma omp`: {}", e.msg), span))
+        p.parse_omp_directive(span).map_err(|e| ParseError {
+            msg: format!("in `#pragma omp`: {}", e.msg),
+            span,
+            kind: e.kind,
+        })
     }
 
     fn eat_word(&mut self, w: &str) -> bool {
@@ -1301,6 +1388,31 @@ void f() {
     fn rejects_garbage() {
         assert!(parse("int main() { @@@ }").is_err());
         assert!(parse("int main() { return 0;").is_err());
+    }
+
+    /// The largest `n` for which `kernel(n)` parses, and the error one
+    /// level further.
+    fn budget(kernel: impl Fn(usize) -> String) -> (usize, ParseError) {
+        let n = (1..=MAX_DEPTH + 1).find(|&n| parse(&kernel(n)).is_err()).expect("budget applies");
+        (n - 1, parse(&kernel(n)).unwrap_err())
+    }
+
+    #[test]
+    fn nesting_budget_counts_tree_depth() {
+        use crate::ErrorKind;
+        let parens = |n: usize| format!("int main() {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n));
+        // A left-deep chain: no parenthesis, yet one level per operator.
+        let chain = |n: usize| format!("int main() {{ return 1{}; }}", "+1".repeat(n));
+        let blocks = |n: usize| format!("int main() {{ {}{} }}", "{".repeat(n), "}".repeat(n));
+        for (n, err) in [budget(parens), budget(chain), budget(blocks)] {
+            assert!(n + 4 >= MAX_DEPTH, "budget {n}");
+            assert_eq!(err.kind, ErrorKind::TooDeep);
+        }
+        // A `u8` pointer count cannot wrap.
+        let stars = format!("int {}p; int main() {{ return 0; }}", "*".repeat(300));
+        assert_eq!(parse(&stars).unwrap_err().kind, ErrorKind::TooDeep);
+        // Syntax errors stay syntax errors.
+        assert_eq!(parse("int main() { @@@ }").unwrap_err().kind, ErrorKind::Syntax);
     }
 
     #[test]

@@ -49,12 +49,6 @@ pub fn check_source(src: &str) -> minic::Result<RaceReport> {
     Ok(check(&minic::parse(src)?))
 }
 
-/// Uniform yes/no verdict adapter (the shape the `xcheck` differential
-/// harness compares across detectors).
-pub fn verdict(unit: &TranslationUnit) -> bool {
-    check(unit).has_race()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ pub struct AnalysisReport {
     pub static_verdict: bool,
     /// Static race descriptions (`var@line:col:OP vs. …`).
     pub static_races: Vec<String>,
-    /// Dynamic happens-before verdict (hbsan, 3 schedules).
+    /// Dynamic happens-before verdict (hbsan, `xcheck::DEFAULT_SEEDS`).
     pub dynamic_verdict: bool,
     /// Dynamic race descriptions.
     pub dynamic_races: Vec<String>,
@@ -99,26 +99,15 @@ impl Pipeline {
     /// layer degrades to without a calibration entry).
     pub fn analyze(&self, source: &str) -> minic::Result<AnalysisReport> {
         let trimmed = minic::trim_comments(source);
-        // Parse once; every downstream consumer (static, dynamic, LLM
-        // features, token count) shares this artifact.
+        // Parse once (for the error); every downstream consumer shares
+        // the artifact built around the AST.
         let unit = minic::parse(&trimmed.code)?;
-
-        let st = racecheck::check(&unit);
-
         let artifact = llm::AnalyzedKernel::from_parsed(&trimmed.code, Some(unit));
-        let ast = artifact.ast.as_ref().expect("parsed above");
-        let dy = hbsan::check_adversarial_compiled(
-            ast,
-            artifact.oracle_program(),
-            &hbsan::Config::default(),
-            &[1, 7, 23],
-        )
-        .map(|s| s.report)
-        .unwrap_or_default();
-        let features = &artifact.features;
+        let ev = xcheck::detect(&artifact).expect("parsed above");
+        let dy = ev.dynamic.unwrap_or_default();
         let mut llm_answers = Vec::new();
         for (kind, _s) in &self.surrogates {
-            let suspicious = llm::feature_verdict(features, *kind);
+            let suspicious = llm::feature_verdict(&artifact.features, *kind);
             let text = if suspicious {
                 format!("Yes, {} suspects a data race in this code.", kind.name())
             } else {
@@ -133,8 +122,8 @@ impl Pipeline {
         }
 
         Ok(AnalysisReport {
-            static_verdict: st.has_race(),
-            static_races: st.races.iter().map(racecheck::Race::describe).collect(),
+            static_verdict: ev.verdicts.stat,
+            static_races: ev.stat.races.iter().map(racecheck::Race::describe).collect(),
             dynamic_verdict: dy.has_race(),
             dynamic_races: dy.races.iter().map(hbsan::DynRace::describe).collect(),
             llm_answers,

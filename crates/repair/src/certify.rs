@@ -8,16 +8,18 @@
 //!    byte-identical to the original's under each seed — modulo the
 //!    globals the patch itself privatizes.
 //!
-//! The original's per-seed output is computed once per repair run
-//! ([`baseline`]) and shared by every candidate; both sides exploit the
-//! scheduler's seed-sensitivity short-circuit (a schedule that never
-//! consults its RNG produces the same run under every seed, so one
-//! observation serves all of them — the same optimization the sweep
-//! APIs use).
+//! Gates 2 and 3 share one pass ([`run_seeds`]): each seed runs the
+//! candidate once on the oracle, and that run's trace is analyzed and
+//! its output observed, so every certificate comes from the runs it
+//! describes. The original's per-seed output is computed once per
+//! repair run ([`baseline`]) by the same pass and shared by every
+//! candidate. A schedule that never consults its RNG produces the same
+//! run under every seed, so one run serves all of them — the same
+//! short-circuit the sweep APIs use.
 
 use crate::{Certificate, RepairConfig};
 use hbsan::obs::{self, Observation};
-use hbsan::{Config, Program};
+use hbsan::{Config, Program, Trace};
 use minic::printer::print_unit;
 use minic::TranslationUnit;
 use xcheck::{apply_repair, RepairEdit};
@@ -28,36 +30,33 @@ pub(crate) struct Baseline {
     obs: Vec<Observation>,
 }
 
-fn seed_cfg(seed: u64) -> Config {
-    Config { seed, ..Config::default() }
-}
-
-/// Observe a kernel under every seed, with the seed-insensitivity
-/// short-circuit. `None` when any run fails — no output baseline means
-/// no equivalence evidence.
-fn observe_all(
+/// Run a kernel once per seed on the oracle (bytecode executor first,
+/// interpreter fallback) and keep each run's observation, stopping
+/// after the first run when the schedule ignores the seed. `None` when
+/// there are no seeds, a run fails, or `trace_ok` rejects a run's
+/// trace.
+fn run_seeds(
     unit: &TranslationUnit,
     prog: Option<&Program>,
     seeds: &[u64],
     fell_back: &mut bool,
+    trace_ok: impl Fn(&Trace) -> bool,
 ) -> Option<Vec<Observation>> {
-    let (&first, rest) = seeds.split_first()?;
-    let run = obs::observe_oracle(unit, prog, &seed_cfg(first));
-    *fell_back |= run.fell_back;
-    let head = run.output.ok()?;
-    let mut out = Vec::with_capacity(seeds.len());
-    let replicate = !head.schedule_sensitive;
-    out.push(head);
-    for &seed in rest {
-        if replicate {
+    let mut out: Vec<Observation> = Vec::with_capacity(seeds.len());
+    for &seed in seeds {
+        if out.first().is_some_and(|o| !o.schedule_sensitive) {
             out.push(out[0].clone());
-        } else {
-            let run = obs::observe_oracle(unit, prog, &seed_cfg(seed));
-            *fell_back |= run.fell_back;
-            out.push(run.output.ok()?);
+            continue;
         }
+        let run = obs::observe_oracle(unit, prog, &Config { seed, ..Config::default() });
+        *fell_back |= run.fell_back;
+        let (observation, trace) = run.output.ok()?;
+        if !trace_ok(&trace) {
+            return None;
+        }
+        out.push(observation);
     }
-    Some(out)
+    (!out.is_empty()).then_some(out)
 }
 
 /// Build the original kernel's output baseline.
@@ -67,7 +66,7 @@ pub(crate) fn baseline(
     cfg: &RepairConfig,
     fell_back: &mut bool,
 ) -> Option<Baseline> {
-    Some(Baseline { obs: observe_all(unit, prog, &cfg.seeds, fell_back)? })
+    Some(Baseline { obs: run_seeds(unit, prog, &cfg.seeds, fell_back, |_| true)? })
 }
 
 /// Apply an edit list in order; `None` when any edit does not apply
@@ -102,23 +101,17 @@ pub(crate) fn certify(
         return None;
     }
 
-    // Gate 2 — dynamic: adversarial sweep over every seed, through the
-    // bytecode fast path (candidates are lowered fresh; they are new
-    // programs, not the cached original).
+    // Gates 2 and 3 — one run per seed through the bytecode fast path
+    // (candidates are lowered fresh; they are new programs, not the
+    // cached original): its trace must be race-free, and its output
+    // must match the original's, excluding globals the patch declares
+    // scratch.
     let prog = hbsan::lower(&patched).ok();
-    let sweep =
-        hbsan::check_adversarial_compiled(&patched, prog.as_ref(), &Config::default(), &cfg.seeds)
-            .ok()?;
-    *fell_back |= sweep.fell_back;
-    if sweep.report.has_race() {
-        return None;
-    }
-
-    // Gate 3 — output equivalence under every seed, excluding globals
-    // the patch declares scratch.
+    let patched_obs = run_seeds(&patched, prog.as_ref(), &cfg.seeds, fell_back, |trace| {
+        !hbsan::analyze(trace).has_race()
+    })?;
     let scratch: Vec<String> =
         edits.iter().filter_map(|e| e.scratch_var().map(str::to_string)).collect();
-    let patched_obs = observe_all(&patched, prog.as_ref(), &cfg.seeds, fell_back)?;
     for (a, b) in base.obs.iter().zip(&patched_obs) {
         if !obs::equivalent(a, b, &scratch) {
             return None;

@@ -40,7 +40,6 @@ pub use sweep::{
 
 use llm::AnalyzedKernel;
 use minic::printer::print_unit;
-use std::sync::Arc;
 use xcheck::{RepairEdit, Verdicts};
 
 /// Tuning knobs for one repair run.
@@ -144,7 +143,7 @@ pub struct FixReport {
     pub candidates_tried: usize,
     /// True when any dynamic run fell back from the bytecode executor
     /// to the AST interpreter. A side channel for metrics — it never
-    /// influences the outcome, mirroring `CompiledSweep::fell_back`.
+    /// influences the outcome, mirroring `xcheck::Evidence::fell_back`.
     pub fell_back: bool,
 }
 
@@ -169,25 +168,19 @@ pub fn edit_label(e: &RepairEdit) -> String {
     }
 }
 
-/// Repair one kernel from source. Parses, runs the three detectors,
-/// and — when any flags a race — enumerates, certifies, and minimizes
-/// candidate patches.
+/// Repair one kernel from source. Parses, runs the detector stack,
+/// and — when any detector flags a race — enumerates, certifies, and
+/// minimizes candidate patches.
 pub fn fix(code: &str, cfg: &RepairConfig) -> FixReport {
     fix_artifact(&AnalyzedKernel::analyze(code), cfg)
 }
 
-/// [`fix`] for an already-analyzed kernel, memoized on the artifact:
-/// repeated calls (CLI sweep rows, serving workers, bench warm paths)
-/// compute the repair once. Non-default configs bypass the memo — the
-/// cached report is only valid for the config that produced it.
-pub fn fix_cached(artifact: &AnalyzedKernel) -> Arc<FixReport> {
-    artifact.repair_memo(|| fix_artifact(artifact, &RepairConfig::default()))
-}
-
 /// [`fix`] over an existing analysis artifact (reuses the cached parse
-/// and lowered bytecode program; builds nothing twice).
+/// and lowered bytecode program; builds nothing twice). Detection is
+/// [`xcheck::detect`] over its standard seeds; `cfg.seeds` drives
+/// certification.
 pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport {
-    let Some(unit) = artifact.ast.as_ref() else {
+    let (Some(unit), Some(ev)) = (artifact.ast.as_ref(), xcheck::detect(artifact)) else {
         return FixReport {
             verdicts: None,
             outcome: Outcome::Unparseable,
@@ -195,52 +188,29 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
             fell_back: false,
         };
     };
-    let mut fell_back = false;
-
-    // Detect: the same three verdicts the xcheck harness computes,
-    // through the artifact's cached bytecode program.
-    let st = racecheck::check(unit);
-    let prog = artifact.oracle_program();
-    let dy = match hbsan::check_adversarial_compiled(unit, prog, &hbsan::Config::default(), &cfg.seeds)
-    {
-        Ok(s) => {
-            fell_back |= s.fell_back;
-            Some(s.report)
-        }
-        Err(_) => {
-            fell_back = true;
-            None
-        }
-    };
-    let verdicts = Verdicts {
-        stat: st.has_race(),
-        dynv: dy.as_ref().map(hbsan::DynReport::has_race),
-        llm: llm::feature_verdict(&artifact.features, llm::ModelKind::Gpt4),
+    let verdicts = ev.verdicts;
+    let mut fell_back = ev.fell_back;
+    let report = |outcome, candidates_tried, fell_back| FixReport {
+        verdicts: Some(verdicts),
+        outcome,
+        candidates_tried,
+        fell_back,
     };
     let flagged = verdicts.stat || verdicts.dynv == Some(true) || verdicts.llm;
     if !flagged {
-        return FixReport {
-            verdicts: Some(verdicts),
-            outcome: Outcome::CleanAlready,
-            candidates_tried: 0,
-            fell_back,
-        };
+        return report(Outcome::CleanAlready, 0, fell_back);
     }
 
     // Baseline: the original's observable output per seed. Without it
     // there is no equivalence evidence, hence no certificate.
+    let prog = artifact.oracle_program();
     let Some(base) = certify::baseline(unit, prog, cfg, &mut fell_back) else {
-        return FixReport {
-            verdicts: Some(verdicts),
-            outcome: Outcome::Unfixed,
-            candidates_tried: 0,
-            fell_back,
-        };
+        return report(Outcome::Unfixed, 0, fell_back);
     };
 
     let canon = print_unit(unit);
     let mut tried = 0usize;
-    for cand in candidates::enumerate(unit, &st, dy.as_ref(), cfg.max_candidates) {
+    for cand in candidates::enumerate(unit, &ev.stat, ev.dynamic.as_ref(), cfg.max_candidates) {
         let Some(patched) = certify::apply_edits(unit, &cand) else { continue };
         tried += 1;
         if let Some(cert) = certify::certify(&base, &cand, patched, cfg, &mut fell_back) {
@@ -248,27 +218,17 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
                 minimize::minimize(unit, cand, cert, &base, cfg, &mut fell_back, &mut tried);
             let patch = minic::unified_diff(&canon, &cert.code, 2);
             let patch_lines = minic::diff_size(&patch);
-            return FixReport {
-                verdicts: Some(verdicts),
-                outcome: Outcome::Fixed(Fix {
-                    edits,
-                    patched_code: cert.code,
-                    patch,
-                    patch_lines,
-                    certificate: cert.certificate,
-                }),
-                candidates_tried: tried,
-                fell_back,
+            let fix = Fix {
+                edits,
+                patched_code: cert.code,
+                patch,
+                patch_lines,
+                certificate: cert.certificate,
             };
+            return report(Outcome::Fixed(fix), tried, fell_back);
         }
     }
-
-    FixReport {
-        verdicts: Some(verdicts),
-        outcome: Outcome::Unfixed,
-        candidates_tried: tried,
-        fell_back,
-    }
+    report(Outcome::Unfixed, tried, fell_back)
 }
 
 #[cfg(test)]
@@ -336,14 +296,9 @@ mod tests {
         let orig = minic::parse(RACY_SUM).unwrap();
         let patched = minic::parse(&f.patched_code).unwrap();
         assert!(racecheck::check(&patched).races.is_empty());
-        let sweep = hbsan::check_adversarial_compiled(
-            &patched,
-            None,
-            &hbsan::Config::default(),
-            &cfg.seeds,
-        )
-        .unwrap();
-        assert!(!sweep.report.has_race());
+        let sweep =
+            hbsan::check_adversarial(&patched, &hbsan::Config::default(), &cfg.seeds).unwrap();
+        assert!(!sweep.has_race());
         for &seed in &cfg.seeds {
             let c = hbsan::Config { seed, ..hbsan::Config::default() };
             let a = hbsan::observe(&orig, &c).unwrap();
@@ -357,15 +312,6 @@ mod tests {
         let cfg = RepairConfig::default();
         assert_eq!(fix(RACY_SUM, &cfg), fix(RACY_SUM, &cfg));
         assert_eq!(fix(RACY_STENCIL, &cfg), fix(RACY_STENCIL, &cfg));
-    }
-
-    #[test]
-    fn fix_cached_memoizes_on_the_artifact() {
-        let artifact = AnalyzedKernel::analyze(RACY_SUM);
-        let a = fix_cached(&artifact);
-        let b = fix_cached(&artifact);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, fix(RACY_SUM, &RepairConfig::default()));
     }
 
     #[test]

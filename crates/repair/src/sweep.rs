@@ -178,10 +178,9 @@ pub fn smoke() -> Result<String, String> {
     if !racecheck::check(&patched).races.is_empty() {
         return Err("certificate replay: racecheck found races in the patch".into());
     }
-    let sweep =
-        hbsan::check_adversarial_compiled(&patched, None, &hbsan::Config::default(), &cfg.seeds)
-            .map_err(|e| format!("certificate replay: sweep failed: {e}"))?;
-    if sweep.report.has_race() {
+    let sweep = hbsan::check_adversarial(&patched, &hbsan::Config::default(), &cfg.seeds)
+        .map_err(|e| format!("certificate replay: sweep failed: {e}"))?;
+    if sweep.has_race() {
         return Err("certificate replay: hbsan found races in the patch".into());
     }
     for &seed in &cfg.seeds {

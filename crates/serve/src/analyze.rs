@@ -3,16 +3,14 @@
 //! One deterministic pure function ([`response_body`]) produces the
 //! response for a kernel, so the cache can store serialized bytes and a
 //! hit is guaranteed byte-identical to a fresh computation. The
-//! analysis itself is the same stack the rest of the workspace uses:
-//! one [`llm::AnalyzedKernel`] per kernel (parse/tokenize/feature-pass
-//! exactly once), `racecheck` for the static verdict, `hbsan`'s
-//! adversarial schedule sweep over [`xcheck::DEFAULT_SEEDS`] for the
-//! dynamic one, and the shared [`xcheck::Verdicts`] adapter for the
-//! consensus summary.
+//! analysis itself is the stack the rest of the workspace uses: one
+//! [`llm::AnalyzedKernel`] per kernel (parse/tokenize/feature-pass
+//! exactly once) and [`xcheck::detect`]'s evidence, rendered here
+//! into the wire shape.
 
 use llm::{feature_verdict, AnalyzedKernel, ModelKind};
 use serde::{Deserialize, Serialize};
-use xcheck::{Verdicts, DEFAULT_SEEDS};
+use xcheck::{detect, Verdicts};
 
 /// Wire request: `{"code": "..."}`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,6 +41,17 @@ pub struct WireVerdicts {
     pub llm: bool,
     /// Unanimous verdict, when all three detectors agree.
     pub consensus: Option<bool>,
+}
+
+impl From<Verdicts> for WireVerdicts {
+    fn from(v: Verdicts) -> Self {
+        WireVerdicts {
+            static_verdict: Some(v.stat),
+            dynamic: v.dynv,
+            llm: v.llm,
+            consensus: v.consensus(),
+        }
+    }
 }
 
 /// Racing variable pair in the paper's variable-identification wire
@@ -115,57 +124,33 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
             verdict: feature_verdict(&artifact.features, *k),
         })
         .collect();
-    let llm_verdict = feature_verdict(&artifact.features, ModelKind::Gpt4);
 
-    let mut fell_back = false;
-    let (verdicts, static_races, dynamic_races, var_pairs) = match &artifact.ast {
-        Some(unit) => {
-            let st = racecheck::check(unit);
-            let (dynamic, dynamic_races) = match hbsan::check_adversarial_compiled(
-                unit,
-                artifact.oracle_program(),
-                &hbsan::Config::default(),
-                &DEFAULT_SEEDS,
-            ) {
-                Ok(sweep) => {
-                    fell_back = sweep.fell_back;
-                    let rep = sweep.report;
-                    let races: Vec<String> =
-                        rep.races.iter().take(5).map(hbsan::DynRace::describe).collect();
-                    (Some(rep.has_race()), races)
-                }
-                // A sweep error means even the interpreter fallback
-                // could not execute the kernel.
-                Err(_) => {
-                    fell_back = true;
-                    (None, Vec::new())
-                }
-            };
-            let v = Verdicts { stat: st.has_race(), dynv: dynamic, llm: llm_verdict };
-            let pairs = st.races.first().map(|r| WirePairs {
+    let (verdicts, static_races, dynamic_races, var_pairs, fell_back) = match detect(&artifact) {
+        Some(ev) => {
+            let dynamic_races = ev.dynamic.map_or_else(Vec::new, |rep| {
+                rep.races.iter().take(5).map(hbsan::DynRace::describe).collect()
+            });
+            let pairs = ev.stat.races.first().map(|r| WirePairs {
                 variable_names: vec![r.first.var.clone(), r.second.var.clone()],
                 line_numbers: vec![r.first.span.line(), r.second.span.line()],
                 operations: vec![op_word(r.first.kind).into(), op_word(r.second.kind).into()],
             });
-            let verdicts = WireVerdicts {
-                static_verdict: Some(v.stat),
-                dynamic: v.dynv,
-                llm: v.llm,
-                consensus: v.consensus(),
-            };
-            let races: Vec<String> = st.races.iter().map(racecheck::Race::describe).collect();
-            (verdicts, races, dynamic_races, pairs)
+            let races = ev.stat.races.iter().map(racecheck::Race::describe).collect();
+            (ev.verdicts.into(), races, dynamic_races, pairs, ev.fell_back)
         }
         None => (
             WireVerdicts {
                 static_verdict: None,
                 dynamic: None,
-                llm: llm_verdict,
+                // The feature extractor degrades gracefully on
+                // unparseable code, so the GPT-4 model verdict stands.
+                llm: models.iter().any(|m| m.model == ModelKind::Gpt4.short() && m.verdict),
                 consensus: None,
             },
             Vec::new(),
             Vec::new(),
             None,
+            false,
         ),
     };
 

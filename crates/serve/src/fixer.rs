@@ -83,12 +83,7 @@ pub fn fix_code_traced(source: &str) -> (FixResponse, bool, bool) {
     let trimmed = minic::trim_comments(source);
     let report = repair::fix(&trimmed.code, &repair::RepairConfig::default());
 
-    let verdicts = report.verdicts.as_ref().map(|v| WireVerdicts {
-        static_verdict: Some(v.stat),
-        dynamic: v.dynv,
-        llm: v.llm,
-        consensus: v.consensus(),
-    });
+    let verdicts = report.verdicts.map(WireVerdicts::from);
     let fix = report.fix().map(|f| WireFix {
         edits: f.edits.iter().map(repair::edit_label).collect(),
         patched_code: f.patched_code.clone(),

@@ -4,8 +4,10 @@
 //! mix over real sockets — health check, a cold and a warm analyze of
 //! the same racy kernel (asserting byte-identical bodies and a cache
 //! hit), one malformed request (400), one forced deadline expiry (504)
-//! — verifies every expected metrics delta, and drains cleanly. Any
-//! violated invariant returns `Err` with the failing check named.
+//! — verifies every expected metrics delta, then sends one kernel
+//! nested far past the parser's budget and checks the service still
+//! answers, and drains cleanly. Any violated invariant returns `Err`
+//! with the failing check named.
 
 use crate::analyze::{AnalyzeRequest, AnalyzeResponse};
 use crate::fixer::FixResponse;
@@ -136,9 +138,19 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
         "exposition text carries both cache hits",
     )?;
 
+    // 8. A kernel nested far past the parser's budget is an unparseable
+    //    kernel, not a dead worker: 200, and health still answers.
+    let deep = format!("int main() {{ return {}1{}; }}", "(".repeat(2000), ")".repeat(2000));
+    let (status, body) = post_analyze(&mut client, &deep, &[])?;
+    ensure(status == 200, "deeply nested analyze returns 200")?;
+    ensure(body.contains("\"parse_ok\":false"), "deeply nested kernel is unparseable")?;
+    let (status, _) =
+        client.request("GET", "/healthz", &[], b"").map_err(|e| format!("healthz: {e}"))?;
+    ensure(status == 200, "healthz answers after the deep request")?;
+
     let _ = writeln!(
         out,
-        "serve smoke ok: healthz + 2 analyze + 2 fix (cached repeats byte-identical) + 504 deadline + 400 malformed on {}",
+        "serve smoke ok: healthz + 2 analyze + 2 fix (cached repeats byte-identical) + 504 deadline + 400 malformed + 1 too-deep on {}",
         h.addr()
     );
     Ok(())

@@ -11,8 +11,8 @@
 //! 2. [`mutate`] — semantics-preserving rewrites (verdicts must stay
 //!    fixed) and label-flipping edits (expected label delta derived
 //!    from the recipe),
-//! 3. [`verdict`] — the uniform three-detector adapter, swept with
-//!    [`par::par_map`],
+//! 3. [`verdict`] — [`detect`], the one composition of the three
+//!    detectors every surface renders, swept with [`par::par_map`],
 //! 4. [`shrink`] — a delta-debugging loop that reduces every
 //!    disagreement to a minimal reproducing kernel,
 //! 5. [`report`] — the triage report behind `racellm-cli xcheck`.
@@ -41,7 +41,7 @@ pub use mutate::{apply_flip, apply_sem, FlipMutation, SemMutation};
 pub use patch::{apply_repair, RepairEdit};
 pub use report::render_report;
 pub use shrink::{reproduces, shrink};
-pub use verdict::{verdicts_of_code, verdicts_of_unit, Verdicts, DEFAULT_SEEDS};
+pub use verdict::{detect, verdicts_of_code, Evidence, Verdicts, DEFAULT_SEEDS};
 
 use eval::Agreement;
 
@@ -253,14 +253,15 @@ pub fn run(cfg: &XConfig) -> XReport {
 /// and compare verdicts against the unmutated base. Returns (mutants
 /// checked, violations).
 fn check_invariance(name: &str, code: &str) -> (usize, Vec<SemViolation>) {
-    let Ok(unit) = minic::parse(code) else {
+    let artifact = llm::AnalyzedKernel::analyze(code);
+    let (Some(unit), Some(base)) = (artifact.ast.as_ref(), detect(&artifact)) else {
         return (0, Vec::new());
     };
-    let base = verdict::verdicts_of_unit(&unit, code);
+    let base = base.verdicts;
     let mut checked = 0;
     let mut violations = Vec::new();
     for m in SemMutation::ALL {
-        let Some(mutant) = mutate::apply_sem(&unit, m) else { continue };
+        let Some(mutant) = mutate::apply_sem(unit, m) else { continue };
         let printed = minic::print_unit(&mutant);
         let Some(v) = verdict::verdicts_of_code(&printed) else {
             violations.push(SemViolation {

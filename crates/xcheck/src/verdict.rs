@@ -1,15 +1,19 @@
-//! Uniform verdict adapter over the three detectors.
+//! The detector stack, composed once.
 //!
-//! One parse feeds all three: `racecheck` (static), `hbsan` (dynamic,
-//! adversarial schedule sweep over the same fixed seed set the umbrella
-//! pipeline uses), and the surrogate-LLM feature verdict at GPT-4 depth
-//! (the uncalibrated path — calibration tables are keyed by corpus
-//! kernel id and say nothing about generated code).
+//! [`detect`] runs the three detectors over one analysis artifact:
+//! `racecheck` (static), `hbsan` (dynamic, adversarial schedule sweep
+//! over [`DEFAULT_SEEDS`] through the artifact's cached bytecode
+//! program), and the surrogate-LLM feature verdict at GPT-4 depth (the
+//! uncalibrated path — calibration tables are keyed by corpus kernel id
+//! and say nothing about generated code). Every surface — the umbrella
+//! pipeline, the differential sweep, the HTTP service, and the repair
+//! loop — renders the [`Evidence`] it returns.
 
-use llm::{CodeFeatures, ModelKind};
-use minic::TranslationUnit;
+use hbsan::DynReport;
+use llm::{AnalyzedKernel, ModelKind};
+use racecheck::RaceReport;
 
-/// The schedule seeds every sweep uses (same as `Pipeline::analyze`).
+/// The schedule seeds every sweep uses.
 pub const DEFAULT_SEEDS: [u64; 3] = [1, 7, 23];
 
 /// One verdict per detector for one kernel.
@@ -46,28 +50,50 @@ impl Verdicts {
     }
 }
 
-/// Run all three detectors on a parsed unit (`code` is only used for
-/// token counting — it must be the unit's source).
-pub fn verdicts_of_unit(unit: &TranslationUnit, code: &str) -> Verdicts {
-    let stat = racecheck::verdict(unit);
-    // Lower once, sweep all seeds through the bytecode executor; kernels
-    // the lowerer rejects fall back to the AST interpreter inside
-    // `verdict_compiled` with identical verdicts (proven corpus-wide by
-    // drb-gen's bytecode_differential test).
-    let prog = hbsan::lower(unit).ok();
-    let dynv =
-        hbsan::verdict_compiled(unit, prog.as_ref(), &hbsan::Config::default(), &DEFAULT_SEEDS)
-            .ok();
-    let features = CodeFeatures::from_parts(llm::count_tokens(code), Some(unit));
-    let llm = llm::feature_verdict(&features, ModelKind::Gpt4);
-    Verdicts { stat, dynv, llm }
+/// Everything the detector stack concluded about one kernel.
+#[derive(Debug)]
+pub struct Evidence {
+    /// The static report.
+    pub stat: RaceReport,
+    /// The dynamic sweep merged across [`DEFAULT_SEEDS`]; `None` when
+    /// the kernel could not be executed (fuel, bad address, …).
+    pub dynamic: Option<DynReport>,
+    /// One verdict per detector.
+    pub verdicts: Verdicts,
+    /// True when any seed ran on the AST interpreter instead of the
+    /// bytecode executor, or the sweep failed. A side channel for
+    /// metrics; it never influences a verdict.
+    pub fell_back: bool,
+}
+
+/// Run the detector stack on an analyzed kernel; `None` when it does
+/// not parse.
+pub fn detect(artifact: &AnalyzedKernel) -> Option<Evidence> {
+    let unit = artifact.ast.as_ref()?;
+    let stat = racecheck::check(unit);
+    let sweep = hbsan::check_adversarial_compiled(
+        unit,
+        artifact.oracle_program(),
+        &hbsan::Config::default(),
+        &DEFAULT_SEEDS,
+    );
+    let (dynamic, fell_back) = match sweep {
+        Ok(s) => (Some(s.report), s.fell_back),
+        // Even the interpreter fallback could not execute the kernel.
+        Err(_) => (None, true),
+    };
+    let verdicts = Verdicts {
+        stat: stat.has_race(),
+        dynv: dynamic.as_ref().map(DynReport::has_race),
+        llm: llm::feature_verdict(&artifact.features, ModelKind::Gpt4),
+    };
+    Some(Evidence { stat, dynamic, verdicts, fell_back })
 }
 
 /// Parse and run all three detectors; `None` when the code no longer
 /// parses (a mutation or shrink step went wrong).
 pub fn verdicts_of_code(code: &str) -> Option<Verdicts> {
-    let unit = minic::parse(code).ok()?;
-    Some(verdicts_of_unit(&unit, code))
+    detect(&AnalyzedKernel::analyze(code)).map(|e| e.verdicts)
 }
 
 #[cfg(test)]

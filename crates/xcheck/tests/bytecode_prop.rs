@@ -9,10 +9,10 @@
 //!   observationally identical to `hbsan::run` (trace, printed output,
 //!   exit code, schedule-sensitivity flag), and must err iff the
 //!   interpreter errs;
-//! * **verdicts** — `verdict_compiled` (which silently falls back to
-//!   the interpreter on rejection) must equal `hbsan::verdict` whether
-//!   or not lowering succeeded. Sections kernels exercise the rejection
-//!   path by construction.
+//! * **verdicts** — the compiled sweep (which silently falls back to
+//!   the interpreter on rejection) must reach the interpreter sweep's
+//!   verdict whether or not lowering succeeded. Sections kernels
+//!   exercise the rejection path by construction.
 
 use hbsan::Config;
 use proptest::prelude::*;
@@ -43,10 +43,11 @@ fn assert_equiv(unit: &minic::TranslationUnit, sched_seed: u64) -> Result<(), Te
         }
     }
 
-    let compiled =
-        hbsan::verdict_compiled(unit, prog.as_ref(), &cfg, &[sched_seed, sched_seed ^ 0x9E37])
-            .ok();
-    let reference = hbsan::verdict(unit, &cfg, &[sched_seed, sched_seed ^ 0x9E37]).ok();
+    let seeds = [sched_seed, sched_seed ^ 0x9E37];
+    let compiled = hbsan::check_adversarial_compiled(unit, prog.as_ref(), &cfg, &seeds)
+        .ok()
+        .map(|s| s.report.has_race());
+    let reference = hbsan::check_adversarial(unit, &cfg, &seeds).ok().map(|r| r.has_race());
     prop_assert_eq!(compiled, reference, "sweep verdict diverges");
     Ok(())
 }
