@@ -194,10 +194,8 @@ fn write_bench_json(path: &str) {
     });
     // Lower each kernel once, outside the timed region: production
     // callers cache the lowered program on the analysis artifact, so
-    // detection latency sees only bytecode execution (kernels whose
-    // lowering is rejected fall back to the interpreter inside the
-    // sweep, exactly like production).
-    let progs: Vec<Option<hbsan::Program>> = units.iter().map(|u| hbsan::lower(u).ok()).collect();
+    // detection latency sees only bytecode execution.
+    let progs: Vec<hbsan::Program> = units.iter().map(hbsan::lower).collect();
     let (races_bc, bytecode) = time(&|| {
         units
             .iter()
@@ -205,7 +203,7 @@ fn write_bench_json(path: &str) {
             .filter(|(unit, prog)| {
                 hbsan::check_adversarial_compiled_with_workers(
                     unit,
-                    prog.as_ref(),
+                    Some(prog),
                     &hbsan::Config::default(),
                     &SEEDS,
                     1,

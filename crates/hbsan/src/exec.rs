@@ -1,15 +1,15 @@
 //! Bytecode executor: runs a lowered [`Program`] and produces the same
 //! [`RunOutput`] the AST interpreter would.
 //!
-//! The executor is observationally equivalent to [`crate::interp`] on
-//! success: identical trace (event order, interned site ids, raw heap
-//! addresses), identical printed lines, identical exit code, and the
-//! fuel accounting errs at exactly the same points (per-instruction
+//! The executor is observationally equivalent to [`crate::interp`]:
+//! identical trace (event order, interned site ids, raw heap
+//! addresses), identical printed lines, identical exit code, and it
+//! fails exactly where the interpreter fails, with the same error (the
+//! fuel accounting errs at the same points because per-instruction
 //! costs replay the interpreter's `spend()` pattern prefix-exactly, so
 //! a batch check `fuel < cost` fails iff one of the mirrored spends
-//! would have). The executor is allowed to *fail* where the interpreter
-//! succeeds — [`run_oracle`] then reruns the interpreter — but never
-//! the other way around.
+//! would have). It is the only engine behind the oracle; the
+//! interpreter stays as the reference semantics it is tested against.
 //!
 //! Heap-address determinism is load-bearing: trace events carry raw
 //! addresses and `Ptr` values print as hex, so every allocation here
@@ -18,11 +18,13 @@
 //! `malloc`/`calloc`).
 
 use crate::interp::{
-    apply_reduction, reduction_identity, Config, Flow, RtError, RtResult, RunOutput, MAX_TEAM,
+    alloc_cells, apply_reduction, array_cells, calloc_cells, extent, malloc_cells, offset_addr,
+    reduction_identity, Config, Flow, RtError, RtResult, RunOutput, MAX_CALL_DEPTH, MAX_ITERATIONS,
+    MAX_TEAM,
 };
 use crate::ir::{
-    ArithUn, CodeRange, DirIr, ExprCode, FuncIr, Instr, MathFn, ParallelIr, PrivOp, Program,
-    RedMerge, WsInit, WsIr, GLOBAL_BIT,
+    ArithUn, CodeRange, DirIr, ExprCode, FuncIr, Instr, MathFn, OracleRun, ParallelIr, PrivOp,
+    PrivSpec, Program, RedMerge, SecItem, Work, WsInit, WsIr, DEREF, GLOBAL_BIT,
 };
 use crate::sched::Scheduler;
 use crate::trace::{SiteId, SyncKey, Trace};
@@ -68,13 +70,27 @@ macro_rules! note_alloc {
 }
 
 /// Runtime state of one variable slot: a heap range plus array shape
-/// (the bytecode analogue of the interpreter's `Binding`).
-#[derive(Debug, Clone, Copy, Default)]
+/// (the bytecode analogue of the interpreter's `Binding`). The shape is
+/// stored as the extents that matter to subscripting — those past the
+/// first dimension that exceed 1 — as `(position, extent)` pairs in
+/// [`Exec::shapes`]: the stride of subscript `k` is the product of the
+/// extents at positions above `k`. Their product is at most `count`, so
+/// a shape never holds more entries than log2 of its cell count.
+#[derive(Debug, Clone, Copy)]
 struct SlotState {
     addr: usize,
     count: usize,
-    n_dims: u8,
-    dims: [usize; 4],
+    shape: u32,
+    n_ext: u32,
+}
+
+impl SlotState {
+    /// A global whose declaration has not run yet: every access fails.
+    const UNBOUND: SlotState = SlotState { addr: usize::MAX, count: 0, shape: 0, n_ext: 0 };
+
+    fn scalar(addr: usize) -> SlotState {
+        SlotState { addr, count: 1, shape: 0, n_ext: 0 }
+    }
 }
 
 struct Exec<'p> {
@@ -92,17 +108,30 @@ struct Exec<'p> {
     reg_base: usize,
     slot_base: usize,
     global_slots: Vec<SlotState>,
+    /// Argument stack (`Instr::Arg` pushes; calls, `printf` and long
+    /// declarators pop).
+    args: Vec<Value>,
+    /// Array shapes, referenced by [`SlotState::shape`].
+    shapes: Vec<(u32, usize)>,
+    /// Nesting depth of user calls and directive statements.
+    depth: usize,
     in_region: bool,
     tid: usize,
     agent: usize,
     phase: u32,
     team: usize,
     max_team: usize,
+    next_task_agent: usize,
+    pending_tasks: Vec<usize>,
+    /// Globals declared threadprivate so far (name indices, in order).
+    threadprivate: Vec<u32>,
     /// Name index of the variable an enclosing `atomic` protects.
     atomic_target: Option<u32>,
     suppress: bool,
     occ: HashMap<(u32, usize), usize>,
     iter_cache: HashMap<(u32, usize), Rc<Vec<usize>>>,
+    winner_cache: HashMap<(u32, usize), usize>,
+    section_cache: HashMap<(u32, usize), Rc<Vec<usize>>>,
 }
 
 impl<'p> Exec<'p> {
@@ -132,18 +161,72 @@ impl<'p> Exec<'p> {
         }
     }
 
-    fn alloc(&mut self, count: usize) -> usize {
+    fn alloc(&mut self, count: usize) -> RtResult<usize> {
         note_alloc!();
-        let addr = self.heap.len();
-        self.heap.extend(std::iter::repeat_n(Value::ZERO, count.max(1)));
-        addr
+        alloc_cells(&mut self.heap, count)
+    }
+
+    /// Allocate a fresh scalar cell holding `v`.
+    fn alloc_scalar(&mut self, v: Value) -> RtResult<SlotState> {
+        let addr = self.alloc(1)?;
+        self.heap[addr] = v;
+        Ok(SlotState::scalar(addr))
+    }
+
+    /// Allocate storage shaped like `like`.
+    fn alloc_like(&mut self, like: SlotState) -> RtResult<SlotState> {
+        Ok(SlotState { addr: self.alloc(like.count)?, ..like })
+    }
+
+    /// Allocate a declarator's storage: its extents are the top `spill`
+    /// argument-stack values (popped) followed by registers
+    /// `dims0..dims0+n_dims`.
+    fn alloc_decl(&mut self, dims0: u16, n_dims: u8, spill: u32) -> RtResult<SlotState> {
+        let spill = spill as usize;
+        let spilled = self.args.len() - spill;
+        let total = spill + n_dims as usize;
+        let extent_at = |me: &Self, k: usize| {
+            extent(if k < spill {
+                me.args[spilled + k]
+            } else {
+                me.reg(dims0 + (k - spill) as u16)
+            })
+        };
+        let count =
+            array_cells((0..total).map(|k| extent_at(self, k))).ok_or(RtError::HeapExhausted)?;
+        let addr = self.alloc(count)?;
+        let shape = self.shapes.len();
+        for k in 1..total {
+            let d = extent_at(self, k);
+            if d > 1 {
+                self.shapes.push((k as u32, d));
+            }
+        }
+        self.args.truncate(spilled);
+        Ok(SlotState {
+            addr,
+            count,
+            shape: shape as u32,
+            n_ext: (self.shapes.len() - shape) as u32,
+        })
+    }
+
+    /// The interpreter's error when `slot` is a global whose declaration
+    /// has not run yet (only a function called from a global
+    /// initializer can reach one).
+    fn unbound(&self, slot: u32) -> Option<RtError> {
+        let g = (slot & !GLOBAL_BIT) as usize;
+        (slot & GLOBAL_BIT != 0 && self.global_slots[g].count == 0)
+            .then(|| RtError::Unknown(self.prog.names[self.prog.global_names[g] as usize].clone()))
+    }
+
+    /// `err`, unless `slot` is an unbound global.
+    fn unbound_or(&self, slot: u32, err: RtError) -> RtError {
+        self.unbound(slot).unwrap_or(err)
     }
 
     fn load(&self, addr: usize) -> RtResult<Value> {
-        self.heap
-            .get(addr)
-            .copied()
-            .ok_or_else(|| RtError::BadAddress(format!("load @{addr}")))
+        self.heap.get(addr).copied().ok_or_else(|| RtError::BadAddress(format!("load @{addr}")))
     }
 
     fn store(&mut self, addr: usize, v: Value) -> RtResult<()> {
@@ -163,11 +246,19 @@ impl<'p> Exec<'p> {
         }
     }
 
-    fn ptr_of(&self, r: u16) -> RtResult<usize> {
+    /// The address in register `r`, which lowering guarantees is a
+    /// `Ptr` (it was produced by an address instruction).
+    fn ptr_of(&self, r: u16) -> usize {
         match self.reg(r) {
-            Value::Ptr(p) => Ok(p),
-            other => Err(RtError::BadAddress(format!("not a pointer: {other:?}"))),
+            Value::Ptr(p) => p,
+            other => unreachable!("address register holds {other:?}"),
         }
+    }
+
+    /// Pop the top `n` argument-stack values.
+    fn pop_args(&mut self, n: usize) -> std::vec::Drain<'_, Value> {
+        let base = self.args.len() - n;
+        self.args.drain(base..)
     }
 
     fn emit_access(&mut self, addr: usize, site: u32) {
@@ -207,6 +298,19 @@ impl<'p> Exec<'p> {
         self.trace.push_release(self.agent, self.phase, id);
     }
 
+    fn emit_task_wait(&mut self, children: &[usize]) {
+        if !children.is_empty() && self.in_region {
+            self.trace.push_task_wait(self.agent, self.phase, children);
+        }
+    }
+
+    /// The next occurrence number of construct `key` on this thread.
+    fn next_occ(&mut self, key: u32) -> usize {
+        let e = self.occ.entry((key, self.tid)).or_insert(0);
+        *e += 1;
+        *e - 1
+    }
+
     // ------------------------------------------------------------------
     // Instruction dispatch
     // ------------------------------------------------------------------
@@ -225,38 +329,46 @@ impl<'p> Exec<'p> {
                 Instr::Const { dst, idx } => self.set_reg(dst, prog.consts[idx as usize]),
                 Instr::SlotAddr { dst, slot } => {
                     let st = self.slot(slot);
+                    if st.count == 0 {
+                        return Err(
+                            self.unbound_or(slot, RtError::BadAddress("unbound slot".into()))
+                        );
+                    }
                     self.set_reg(dst, Value::Ptr(st.addr));
                 }
                 Instr::LoadScalar { dst, slot, site } => {
                     let st = self.slot(slot);
-                    let v = self.load(st.addr)?;
+                    let v = self.load(st.addr).map_err(|e| self.unbound_or(slot, e))?;
                     self.emit_access(st.addr, site);
                     self.set_reg(dst, v);
                 }
                 Instr::StoreScalar { src, slot, site } => {
                     let st = self.slot(slot);
                     let v = self.reg(src);
-                    self.store(st.addr, v)?;
+                    self.store(st.addr, v).map_err(|e| self.unbound_or(slot, e))?;
                     self.emit_access(st.addr, site);
                 }
-                Instr::IndexAddr { dst, slot, idx0, n } => {
+                Instr::IndexAddr { dst, slot, idx0, n, at } => {
                     let st = self.slot(slot);
-                    let nd = st.n_dims as usize;
-                    let single = [st.count];
-                    let dims: &[usize] = if nd == 0 { &single } else { &st.dims[..nd] };
+                    let shape = &self.shapes[st.shape as usize..(st.shape + st.n_ext) as usize];
                     let mut flat = 0usize;
                     for k in 0..n as usize {
                         let i = self.reg(idx0 + k as u16).as_int().max(0) as usize;
-                        let stride: usize = dims
-                            .get(k + 1..)
-                            .map(|r| r.iter().product())
-                            .unwrap_or(1);
-                        flat += i * stride.max(1);
+                        let stride: usize = shape
+                            .iter()
+                            .filter(|&&(p, _)| p as usize > k)
+                            .map(|&(_, d)| d)
+                            .product();
+                        flat = flat.saturating_add(i.saturating_mul(stride));
                     }
                     if flat >= st.count {
+                        if let Some(e) = self.unbound(slot) {
+                            return Err(e);
+                        }
+                        let (name, pos) = prog.locs[at as usize];
                         return Err(RtError::BadAddress(format!(
-                            "index {flat} out of bounds ({})",
-                            st.count
+                            "{}[{flat}] out of bounds ({} elements) at {pos}",
+                            prog.names[name as usize], st.count
                         )));
                     }
                     self.set_reg(dst, Value::Ptr(st.addr + flat));
@@ -266,40 +378,52 @@ impl<'p> Exec<'p> {
                     self.set_reg(dst, Value::Ptr(a));
                 }
                 Instr::AddOff { dst, base, off } => {
-                    let p = self.ptr_of(base)?;
-                    let a = crate::interp::offset_addr(p, self.reg(off).as_int())?;
+                    let a = offset_addr(self.ptr_of(base), self.reg(off).as_int())?;
                     self.set_reg(dst, Value::Ptr(a));
                 }
-                Instr::AssertPtr { src } => {
-                    self.ptr_of(src)?;
+                Instr::AssertPtr { src, at } => {
+                    if !matches!(self.reg(src), Value::Ptr(_)) {
+                        return Err(RtError::BadAddress(match at {
+                            DEREF => "deref of non-pointer".into(),
+                            at => {
+                                format!("subscript of non-pointer at {}", prog.locs[at as usize].1)
+                            }
+                        }));
+                    }
                 }
-                Instr::CheckAddr { src } => {
-                    let p = self.ptr_of(src)?;
+                Instr::CheckAddr { src, at } => {
+                    let p = self.ptr_of(src);
                     if p == 0 || p >= self.heap.len() {
-                        return Err(RtError::BadAddress(format!("wild pointer @{p}")));
+                        return Err(RtError::BadAddress(match at {
+                            DEREF => "deref out of bounds".into(),
+                            at => {
+                                let (name, pos) = prog.locs[at as usize];
+                                format!("*{} out of bounds at {pos}", prog.names[name as usize])
+                            }
+                        }));
                     }
                 }
                 Instr::LoadInd { dst, ptr, site } => {
-                    let p = self.ptr_of(ptr)?;
+                    let p = self.ptr_of(ptr);
                     let v = self.load(p)?;
                     self.emit_access(p, site);
                     self.set_reg(dst, v);
                 }
                 Instr::StoreInd { src, ptr, site } => {
-                    let p = self.ptr_of(ptr)?;
+                    let p = self.ptr_of(ptr);
                     let v = self.reg(src);
                     self.store(p, v)?;
                     self.emit_access(p, site);
                 }
                 Instr::IncDec { dst, ptr, site_r, site_w, inc, prefix } => {
-                    let p = self.ptr_of(ptr)?;
+                    let p = self.ptr_of(ptr);
                     let old = self.load(p)?;
                     self.emit_access(p, site_r);
                     let delta: i64 = if inc { 1 } else { -1 };
                     let new = match old {
-                        Value::Int(v) => Value::Int(v + delta),
+                        Value::Int(v) => Value::Int(v.wrapping_add(delta)),
                         Value::Float(f) => Value::Float(f + delta as f64),
-                        Value::Ptr(q) => Value::Ptr(crate::interp::offset_addr(q, delta)?),
+                        Value::Ptr(q) => Value::Ptr(offset_addr(q, delta)?),
                     };
                     self.store(p, new)?;
                     self.emit_access(p, site_w);
@@ -309,7 +433,7 @@ impl<'p> Exec<'p> {
                     let v = self.reg(src);
                     let r = match op {
                         ArithUn::Neg => match v {
-                            Value::Int(i) => Value::Int(-i),
+                            Value::Int(i) => Value::Int(i.wrapping_neg()),
                             Value::Float(f) => Value::Float(-f),
                             Value::Ptr(_) => Value::Int(0),
                         },
@@ -346,15 +470,14 @@ impl<'p> Exec<'p> {
                         continue;
                     }
                 }
-                Instr::AllocSlot { slot, dims0, n_dims } => {
-                    let nd = n_dims as usize;
-                    let mut dims = [0usize; 4];
-                    for (k, d) in dims.iter_mut().enumerate().take(nd) {
-                        *d = (self.reg(dims0 + k as u16).as_int().max(0) as usize).max(1);
-                    }
-                    let count: usize = if nd == 0 { 1 } else { dims[..nd].iter().product() };
-                    let addr = self.alloc(count);
-                    self.set_slot(slot, SlotState { addr, count, n_dims, dims });
+                Instr::Arg { src } => {
+                    note_alloc!();
+                    let v = self.reg(src);
+                    self.args.push(v);
+                }
+                Instr::AllocSlot { slot, dims0, n_dims, spill } => {
+                    let st = self.alloc_decl(dims0, n_dims, spill)?;
+                    self.set_slot(slot, st);
                 }
                 Instr::StoreSlotInit { slot, src } => {
                     let st = self.slot(slot);
@@ -373,9 +496,8 @@ impl<'p> Exec<'p> {
                     let v = self.reg(src);
                     self.store(st.addr + i as usize, v)?;
                 }
-                Instr::CallUser { dst, func, args0, n_args } => {
-                    let f = &prog.funcs[func as usize];
-                    let v = self.call_user(f, args0, n_args)?;
+                Instr::CallUser { dst, func, n_args } => {
+                    let v = self.call_user(&prog.funcs[func as usize], n_args as usize)?;
                     self.set_reg(dst, v);
                 }
                 Instr::GetTid { dst } => self.set_reg(dst, Value::Int(self.tid as i64)),
@@ -386,29 +508,24 @@ impl<'p> Exec<'p> {
                 Instr::GetMaxThreads { dst } => {
                     self.set_reg(dst, Value::Int(self.threads as i64));
                 }
-                Instr::Printf { args0, n } => {
-                    let mut parts = Vec::with_capacity(n as usize);
-                    for k in 0..n as usize {
-                        parts.push(match self.reg(args0 + k as u16) {
+                Instr::Printf { n } => {
+                    note_alloc!();
+                    let parts: Vec<String> = self
+                        .pop_args(n as usize)
+                        .map(|v| match v {
                             Value::Int(i) => i.to_string(),
                             Value::Float(f) => format!("{f:.6}"),
                             Value::Ptr(p) => format!("0x{p:x}"),
-                        });
-                    }
-                    note_alloc!();
+                        })
+                        .collect();
                     self.printed.push(parts.join(" "));
                 }
                 Instr::Malloc { dst, bytes } => {
-                    let bytes = self.reg(bytes).as_int().max(0) as usize;
-                    let n = bytes / 8;
-                    let addr = self.alloc(n.max(1));
+                    let addr = self.alloc(malloc_cells(self.reg(bytes)))?;
                     self.set_reg(dst, Value::Ptr(addr));
                 }
                 Instr::Calloc { dst, bytes, sz } => {
-                    let bytes = self.reg(bytes).as_int().max(0) as usize;
-                    let sz = self.reg(sz).as_int().max(1) as usize;
-                    let n = bytes * sz / 8;
-                    let addr = self.alloc(n.max(1));
+                    let addr = self.alloc(calloc_cells(self.reg(bytes), self.reg(sz)))?;
                     self.set_reg(dst, Value::Ptr(addr));
                 }
                 Instr::LockAcq { src } => {
@@ -428,10 +545,9 @@ impl<'p> Exec<'p> {
                         MathFn::Cos => Value::Float(v.as_float().cos()),
                         MathFn::Exp => Value::Float(v.as_float().exp()),
                         MathFn::Log => Value::Float(v.as_float().ln()),
-                        MathFn::AbsInt => Value::Int(v.as_int().abs()),
-                        // Two-operand functions never reach Math1.
+                        MathFn::AbsInt => Value::Int(v.as_int().wrapping_abs()),
                         MathFn::Pow | MathFn::Fmax | MathFn::Fmin => {
-                            return Err(RtError::Unsupported("math arity".into()))
+                            unreachable!("two-operand functions lower to Math2")
                         }
                     };
                     self.set_reg(dst, r);
@@ -443,11 +559,11 @@ impl<'p> Exec<'p> {
                         MathFn::Pow => x.powf(y),
                         MathFn::Fmax => x.max(y),
                         MathFn::Fmin => x.min(y),
-                        _ => return Err(RtError::Unsupported("math arity".into())),
+                        _ => unreachable!("one-operand functions lower to Math1"),
                     };
                     self.set_reg(dst, Value::Float(r));
                 }
-                Instr::Dir { id, brk, cont } => match self.run_dir(id)? {
+                Instr::Dir { id, brk, cont } => match self.run_nested_dir(id)? {
                     Flow::Normal => {}
                     Flow::Break => {
                         if brk != u32::MAX {
@@ -469,33 +585,51 @@ impl<'p> Exec<'p> {
                 Instr::FlowBrk => return Ok(Flow::Break),
                 Instr::FlowCont => return Ok(Flow::Continue),
                 Instr::Ret { src } => return Ok(Flow::Return(self.reg(src))),
-                Instr::Trap => return Err(RtError::Unsupported("exit() called".into())),
+                Instr::Trap { err } => return Err(prog.errors[err as usize].clone()),
             }
             pc += 1;
         }
     }
 
-    fn call_user(&mut self, f: &FuncIr, args0: u16, n_args: u16) -> RtResult<Value> {
+    /// Run `f` in a fresh register/slot window, with `init` setting up
+    /// the new frame's slots first.
+    fn in_frame(
+        &mut self,
+        f: &FuncIr,
+        init: impl FnOnce(&mut Self) -> RtResult<()>,
+    ) -> RtResult<Flow> {
         let caller_rb = self.reg_base;
         let caller_sb = self.slot_base;
         let new_rb = self.regs.len();
         let new_sb = self.slots.len();
         note_alloc!();
         self.regs.resize(new_rb + f.n_regs as usize, Value::ZERO);
-        self.slots.resize(new_sb + f.n_slots as usize, SlotState::default());
-        for k in 0..n_args as usize {
-            let v = self.regs[caller_rb + args0 as usize + k];
-            let addr = self.alloc(1);
-            self.heap[addr] = v;
-            self.slots[new_sb + k] = SlotState { addr, count: 1, n_dims: 0, dims: [0; 4] };
-        }
+        self.slots.resize(new_sb + f.n_slots as usize, SlotState::scalar(0));
         self.reg_base = new_rb;
         self.slot_base = new_sb;
-        let flow = self.run_range(f.entry);
+        let flow = init(self).and_then(|()| self.run_range(f.entry));
         self.reg_base = caller_rb;
         self.slot_base = caller_sb;
         self.regs.truncate(new_rb);
         self.slots.truncate(new_sb);
+        flow
+    }
+
+    fn call_user(&mut self, f: &FuncIr, n_args: usize) -> RtResult<Value> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(RtError::CallTooDeep);
+        }
+        self.depth += 1;
+        let flow = self.in_frame(f, |me| {
+            let base = me.args.len() - n_args;
+            for k in 0..n_args {
+                let st = me.alloc_scalar(me.args[base + k])?;
+                me.slots[me.slot_base + k] = st;
+            }
+            me.args.truncate(base);
+            Ok(())
+        });
+        self.depth -= 1;
         match flow? {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Int(0)),
@@ -505,6 +639,14 @@ impl<'p> Exec<'p> {
     // ------------------------------------------------------------------
     // Directives
     // ------------------------------------------------------------------
+
+    /// Run a directive, one level deeper (calls inside it count it).
+    fn run_nested_dir(&mut self, id: u32) -> RtResult<Flow> {
+        self.depth += 1;
+        let flow = self.run_dir(id);
+        self.depth -= 1;
+        flow
+    }
 
     fn run_dir(&mut self, id: u32) -> RtResult<Flow> {
         let prog = self.prog;
@@ -521,10 +663,8 @@ impl<'p> Exec<'p> {
                 if self.in_region {
                     self.run_ws(*w)
                 } else {
-                    match prog.ws[*w as usize].plain {
-                        Some(r) => self.run_range(r),
-                        None => Err(RtError::Unsupported("orphaned worksharing body".into())),
-                    }
+                    let plain = prog.ws[*w as usize].plain;
+                    self.run_range(plain.expect("standalone worksharing loops keep a plain body"))
                 }
             }
             DirIr::Master { body } => {
@@ -558,7 +698,66 @@ impl<'p> Exec<'p> {
                 Some(r) => self.run_range(*r),
                 None => Ok(Flow::Normal),
             },
-            DirIr::Trap => Err(RtError::Unsupported("directive requires a body".into())),
+            DirIr::Single { key, phase_end, privs, body, plain } => {
+                if !self.in_region {
+                    return self.run_range(*plain);
+                }
+                let cache_key = (*key, self.next_occ(*key));
+                let winner = match self.winner_cache.get(&cache_key) {
+                    Some(&w) => w,
+                    None => {
+                        let w = self.sched.single_winner();
+                        self.winner_cache.insert(cache_key, w);
+                        w
+                    }
+                };
+                let flow = if self.tid == winner {
+                    self.privatized(privs, |me| me.run_range(*body))?
+                } else {
+                    Flow::Normal
+                };
+                if *phase_end {
+                    self.phase += 1;
+                }
+                Ok(flow)
+            }
+            DirIr::Sections { sec, plain } => {
+                if self.in_region {
+                    self.run_sections(*sec)
+                } else {
+                    self.run_range(*plain)
+                }
+            }
+            DirIr::Task { privs, body, plain } => {
+                if !self.in_region {
+                    return self.run_range(*plain);
+                }
+                let child = self.next_task_agent;
+                self.next_task_agent += 1;
+                self.trace.push_task_spawn(self.agent, self.phase, child);
+                self.pending_tasks.push(child);
+                let parent = std::mem::replace(&mut self.agent, child);
+                let flow = self.privatized(privs, |me| me.run_range(*body))?;
+                self.trace.push_task_end(self.agent, self.phase);
+                self.agent = parent;
+                Ok(flow)
+            }
+            DirIr::Taskwait => {
+                let children = std::mem::take(&mut self.pending_tasks);
+                self.emit_task_wait(&children);
+                Ok(Flow::Normal)
+            }
+            DirIr::Taskgroup { body } => {
+                let outer = std::mem::take(&mut self.pending_tasks);
+                let flow = self.run_range(*body)?;
+                let children = std::mem::replace(&mut self.pending_tasks, outer);
+                self.emit_task_wait(&children);
+                Ok(flow)
+            }
+            DirIr::Threadprivate(names) => {
+                self.threadprivate.extend_from_slice(names);
+                Ok(Flow::Normal)
+            }
         }
     }
 
@@ -584,8 +783,20 @@ impl<'p> Exec<'p> {
             self.tid = tid;
             self.agent = tid;
             self.phase = start_phase;
-            self.run_thread(p)?;
+            // `return` out of a parallel region is non-conforming; treat
+            // as finishing the region.
+            self.privatized(&p.privs, |me| match p.fork {
+                Work::Plain(r) => me.run_range(r),
+                Work::Ws(w) => me.run_ws(w),
+                Work::Sections(s) => me.run_sections(s),
+            })?;
             end_phase = end_phase.max(self.phase);
+        }
+        // Implicit end-of-region barrier (also completes pending tasks).
+        let children = std::mem::take(&mut self.pending_tasks);
+        if !children.is_empty() {
+            self.agent = 0;
+            self.emit_task_wait(&children);
         }
         self.phase = end_phase + 1;
         self.in_region = false;
@@ -595,54 +806,50 @@ impl<'p> Exec<'p> {
         Ok(Flow::Normal)
     }
 
-    fn run_thread(&mut self, p: &ParallelIr) -> RtResult<()> {
-        self.run_privs(&p.privs.ops)?;
-        // `return` out of a parallel region is non-conforming; treat as
-        // finishing the region (errors skip the reduction merges).
-        let _flow = match p.ws_fork {
-            Some(w) => self.run_ws(w)?,
-            None => match p.plain_fork {
-                Some(r) => self.run_range(r)?,
-                None => Flow::Normal,
-            },
-        };
-        self.run_merges(&p.privs.merges)
-    }
-
-    fn run_privs(&mut self, ops: &[PrivOp]) -> RtResult<()> {
-        for &op in ops {
-            match op {
-                PrivOp::Fresh { slot, outer } => {
-                    let (count, n_dims, dims) = match outer {
-                        Some(o) => {
-                            let st = self.slot(o);
-                            (st.count, st.n_dims, st.dims)
-                        }
-                        None => (1, 0, [0; 4]),
-                    };
-                    let addr = self.alloc(count);
-                    self.set_slot(slot, SlotState { addr, count, n_dims, dims });
+    /// Run `body` with the privatization plan set up around it (the
+    /// interpreter's `with_privatized`); an error skips the merges.
+    fn privatized(
+        &mut self,
+        spec: &PrivSpec,
+        body: impl FnOnce(&mut Self) -> RtResult<Flow>,
+    ) -> RtResult<Flow> {
+        for &op in &spec.ops {
+            let (slot, st) = match op {
+                PrivOp::Fresh { slot, outer: Some(o) } => (slot, self.alloc_like(self.slot(o))?),
+                PrivOp::Fresh { slot, outer: None } => (slot, self.alloc_scalar(Value::ZERO)?),
+                // A global not yet declared stays unbound, as it does in
+                // the interpreter (which then finds no outer binding).
+                PrivOp::Copy { slot, outer } if self.slot(outer).count == 0 => {
+                    (slot, self.slot(outer))
                 }
                 PrivOp::Copy { slot, outer } => {
-                    let st = self.slot(outer);
-                    let addr = self.alloc(st.count);
-                    for i in 0..st.count {
-                        let v = self.load(st.addr + i)?;
-                        self.store(addr + i, v)?;
-                    }
-                    self.set_slot(
-                        slot,
-                        SlotState { addr, count: st.count, n_dims: st.n_dims, dims: st.dims },
-                    );
+                    let from = self.slot(outer);
+                    let st = self.alloc_like(from)?;
+                    self.heap.copy_within(from.addr..from.addr + from.count, st.addr);
+                    (slot, st)
                 }
-                PrivOp::Red { slot, op } => {
-                    let addr = self.alloc(1);
-                    self.heap[addr] = reduction_identity(op);
-                    self.set_slot(slot, SlotState { addr, count: 1, n_dims: 0, dims: [0; 4] });
-                }
-            }
+                PrivOp::Red { slot, op } => (slot, self.alloc_scalar(reduction_identity(op))?),
+            };
+            self.set_slot(slot, st);
         }
-        Ok(())
+        // Shadows alias their globals until declared threadprivate; then
+        // each gets fresh storage, in declaration order, once.
+        for t in &spec.tp {
+            self.set_slot(t.slot, self.slot(t.global));
+        }
+        for i in 0..self.threadprivate.len() {
+            let name = self.threadprivate[i];
+            let Some(t) = spec.tp.iter().find(|t| t.name == name) else { continue };
+            let global = self.slot(t.global);
+            if global.count == 0 || self.slot(t.slot).addr != global.addr {
+                continue; // not yet declared, or already shadowed
+            }
+            let st = self.alloc_like(global)?;
+            self.set_slot(t.slot, st);
+        }
+        let flow = body(self)?;
+        self.run_merges(&spec.merges)?;
+        Ok(flow)
     }
 
     fn run_merges(&mut self, merges: &[RedMerge]) -> RtResult<()> {
@@ -655,6 +862,47 @@ impl<'p> Exec<'p> {
             }
         }
         Ok(())
+    }
+
+    /// Run a sections block on the current thread: shared statements
+    /// always, each section only on its owner (drawn once per
+    /// occurrence, so the whole team agrees).
+    fn run_sections(&mut self, sec: u32) -> RtResult<Flow> {
+        let prog = self.prog;
+        let s = &prog.sections[sec as usize];
+        let cache_key = (s.key, self.next_occ(s.key));
+        let owners = match self.section_cache.get(&cache_key) {
+            Some(o) => Rc::clone(o),
+            None => {
+                note_alloc!();
+                let o: Rc<Vec<usize>> = Rc::new(
+                    (0..s.n_sections as usize).map(|i| self.sched.section_owner(i)).collect(),
+                );
+                self.section_cache.insert(cache_key, Rc::clone(&o));
+                o
+            }
+        };
+        let mut idx = 0;
+        let mut flow = Flow::Normal;
+        for item in &s.items {
+            match *item {
+                SecItem::Section(body) => {
+                    let owner = owners[idx];
+                    idx += 1;
+                    if let Some(r) = body.filter(|_| owner == self.tid) {
+                        flow = self.run_range(r)?;
+                    }
+                }
+                SecItem::Shared(r) => flow = self.run_range(r)?,
+            }
+            if matches!(flow, Flow::Return(_)) {
+                break;
+            }
+        }
+        if s.phase_end {
+            self.phase += 1;
+        }
+        Ok(flow)
     }
 
     // ------------------------------------------------------------------
@@ -689,15 +937,14 @@ impl<'p> Exec<'p> {
                 }
                 None => Value::Int(0),
             };
-            let addr = self.alloc(1);
-            self.heap[addr] = init_val;
-            self.set_slot(iv.slot, SlotState { addr, count: 1, n_dims: 0, dims: [0; 4] });
-            ivar_addr = addr;
+            let st = self.alloc_scalar(init_val)?;
+            self.set_slot(iv.slot, st);
+            ivar_addr = st.addr;
         }
         // collapse(n): nested induction variables get private cells too.
         for &s in &ws.prebind {
-            let addr = self.alloc(1);
-            self.set_slot(s, SlotState { addr, count: 1, n_dims: 0, dims: [0; 4] });
+            let st = self.alloc_scalar(Value::ZERO)?;
+            self.set_slot(s, st);
         }
         // Enumerate the outer iteration space on the private cell.
         let mut outer_vals: Vec<Value> = Vec::new();
@@ -722,18 +969,16 @@ impl<'p> Exec<'p> {
         let n = if ws.ivar.is_none() {
             0
         } else if ws.use_collapse {
-            outer_vals.len() * level_vals.iter().map(|(_, v)| v.len()).product::<usize>()
+            array_cells(
+                std::iter::once(outer_vals.len()).chain(level_vals.iter().map(|(_, v)| v.len())),
+            )
+            .filter(|&n| n <= MAX_ITERATIONS)
+            .ok_or(RtError::FuelExhausted)?
         } else {
             outer_vals.len()
         };
         // Assign iterations to threads (cached so the whole team agrees).
-        let occ = {
-            let e = self.occ.entry((ws.key, self.tid)).or_insert(0);
-            let o = *e;
-            *e += 1;
-            o
-        };
-        let cache_key = (ws.key, occ);
+        let cache_key = (ws.key, self.next_occ(ws.key));
         let assignment = if let Some(a) = self.iter_cache.get(&cache_key) {
             Rc::clone(a)
         } else {
@@ -818,7 +1063,7 @@ impl<'p> Exec<'p> {
     ) -> RtResult<Vec<Value>> {
         let mut vals = Vec::new();
         loop {
-            if vals.len() > 4_000_000 {
+            if vals.len() > MAX_ITERATIONS {
                 return Err(RtError::FuelExhausted);
             }
             self.run_range(cond.range)?;
@@ -842,7 +1087,7 @@ impl<'p> Exec<'p> {
             let addr = self.slot(lv.slot).addr;
             let mut vals = Vec::new();
             loop {
-                if vals.len() > 1_000_000 {
+                if vals.len() > MAX_ITERATIONS / 4 {
                     return Err(RtError::FuelExhausted);
                 }
                 self.run_range(lv.cond.range)?;
@@ -885,23 +1130,15 @@ pub(crate) fn run_program_with_globals(
     cfg: &Config,
 ) -> RtResult<(RunOutput, Vec<Vec<Value>>)> {
     let (ex, exit) = exec_program(prog, cfg)?;
-    let globals = ex
-        .global_slots
-        .iter()
-        .map(|s| ex.heap[s.addr..s.addr + s.count].to_vec())
-        .collect();
+    let globals =
+        ex.global_slots.iter().map(|s| ex.heap[s.addr..s.addr + s.count].to_vec()).collect();
     Ok((finish(ex, exit, cfg), globals))
 }
 
 fn finish(ex: Exec<'_>, exit: Option<i64>, cfg: &Config) -> RunOutput {
     let mut trace = ex.trace;
     trace.threads = ex.max_team.max(cfg.threads);
-    RunOutput {
-        trace,
-        printed: ex.printed,
-        exit,
-        schedule_sensitive: ex.sched.seed_sensitive(),
-    }
+    RunOutput { trace, printed: ex.printed, exit, schedule_sensitive: ex.sched.seed_sensitive() }
 }
 
 /// Drive a lowered program to completion, returning the executor (for
@@ -920,31 +1157,51 @@ fn exec_program<'p>(prog: &'p Program, cfg: &Config) -> RtResult<(Exec<'p>, Opti
         slots: Vec::new(),
         reg_base: 0,
         slot_base: 0,
-        global_slots: vec![SlotState::default(); prog.n_globals as usize],
+        global_slots: vec![SlotState::UNBOUND; prog.global_names.len()],
+        args: Vec::new(),
+        shapes: Vec::new(),
+        depth: 0,
         in_region: false,
         tid: 0,
         agent: 0,
         phase: 0,
         team: 1,
         max_team: 1,
+        next_task_agent: MAX_TEAM,
+        pending_tasks: Vec::new(),
+        threadprivate: prog.threadprivate.clone(),
         atomic_target: None,
         suppress: false,
         occ: HashMap::new(),
         iter_cache: HashMap::new(),
+        winner_cache: HashMap::new(),
+        section_cache: HashMap::new(),
     };
     ex.run_range(prog.global_init)?;
-    let main = &prog.funcs[prog.main as usize];
     ex.regs.clear();
-    ex.regs.resize(main.n_regs as usize, Value::ZERO);
-    ex.slots.clear();
-    ex.slots.resize(main.n_slots as usize, SlotState::default());
+    let Some(main) = prog.main else {
+        // Library-style kernel: every entry runs with synthetic 64-cell
+        // buffer arguments.
+        for &f in &prog.library {
+            let f = &prog.funcs[f as usize];
+            ex.in_frame(f, |me| {
+                for k in 0..f.n_params as usize {
+                    let addr = me.alloc(64)?;
+                    me.slots[k] = SlotState { addr, count: 64, shape: 0, n_ext: 0 };
+                }
+                Ok(())
+            })?;
+        }
+        return Ok((ex, None));
+    };
     // argc/argv defaults.
-    for i in 0..main.n_params as usize {
-        let addr = ex.alloc(1);
-        ex.heap[addr] = if i == 0 { Value::Int(1) } else { Value::Ptr(0) };
-        ex.slots[i] = SlotState { addr, count: 1, n_dims: 0, dims: [0; 4] };
-    }
-    let flow = ex.run_range(main.entry)?;
+    let main = &prog.funcs[main as usize];
+    let flow = ex.in_frame(main, |me| {
+        for k in 0..main.n_params as usize {
+            me.slots[k] = me.alloc_scalar(if k == 0 { Value::Int(1) } else { Value::Ptr(0) })?;
+        }
+        Ok(())
+    })?;
     let exit = match flow {
         Flow::Return(v) => Some(v.as_int()),
         _ => None,
@@ -952,21 +1209,12 @@ fn exec_program<'p>(prog: &'p Program, cfg: &Config) -> RtResult<(Exec<'p>, Opti
     Ok((ex, exit))
 }
 
-/// Run one seed through the fast path with interpreter fallback.
-///
-/// With a program, try the bytecode executor first; on *any* executor
-/// error — and whenever no program is available — rerun the AST
-/// interpreter so callers always see the interpreter's verdict and
-/// error text. `fell_back` reports which engine produced the output.
-pub fn run_oracle(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    cfg: &Config,
-) -> crate::ir::OracleRun {
-    if let Some(p) = prog {
-        if let Ok(out) = run_program(p, cfg) {
-            return crate::ir::OracleRun { output: Ok(out), fell_back: false };
-        }
-    }
-    crate::ir::OracleRun { output: crate::interp::run(unit, cfg), fell_back: true }
+/// Run one seed on the bytecode executor, lowering `unit` first when no
+/// program is supplied.
+pub fn run_oracle(unit: &TranslationUnit, prog: Option<&Program>, cfg: &Config) -> OracleRun {
+    let output = match prog {
+        Some(p) => run_program(p, cfg),
+        None => run_program(&crate::lower(unit), cfg),
+    };
+    OracleRun { output }
 }

@@ -44,6 +44,10 @@ pub enum RtError {
     FuelExhausted,
     /// Integer division by zero.
     DivByZero,
+    /// A user call nested deeper than [`MAX_CALL_DEPTH`].
+    CallTooDeep,
+    /// The run asked for more than [`MAX_HEAP_CELLS`] heap cells.
+    HeapExhausted,
 }
 
 impl std::fmt::Display for RtError {
@@ -54,6 +58,8 @@ impl std::fmt::Display for RtError {
             RtError::Unsupported(s) => write!(f, "unsupported: {s}"),
             RtError::FuelExhausted => write!(f, "fuel exhausted"),
             RtError::DivByZero => write!(f, "division by zero"),
+            RtError::CallTooDeep => write!(f, "call depth exceeds {MAX_CALL_DEPTH}"),
+            RtError::HeapExhausted => write!(f, "heap exceeds {MAX_HEAP_CELLS} cells"),
         }
     }
 }
@@ -64,6 +70,76 @@ pub(crate) type RtResult<T> = Result<T, RtError>;
 
 /// Upper bound on simulated team width; task agent ids start above it.
 pub(crate) const MAX_TEAM: usize = 16;
+
+/// Deepest nesting of user calls a run may make, counting each
+/// enclosing directive statement as a level too (both engines recurse
+/// through those); a call past it raises [`RtError::CallTooDeep`].
+/// `return f(n - 1) + 1;` overflows a 2 MiB stack at 105 calls in a
+/// debug build of the interpreter (the executor needs far less).
+/// Corpus and generated kernels nest at most 2 calls.
+pub const MAX_CALL_DEPTH: usize = 64;
+
+/// Most heap cells (16-byte [`Value`]s) one run may allocate; asking for
+/// more raises [`RtError::HeapExhausted`] before allocating. Corpus and
+/// generated kernels use at most 4,897 cells.
+pub const MAX_HEAP_CELLS: usize = 1 << 22;
+
+/// Most iterations a worksharing loop (or collapsed nest) may
+/// distribute; more raise [`RtError::FuelExhausted`].
+pub(crate) const MAX_ITERATIONS: usize = 4_000_000;
+
+/// Arguments a builtin reads positionally. A call passing fewer raises
+/// [`RtError::Unsupported`] before any argument is evaluated, in both
+/// engines.
+pub(crate) fn builtin_arity(callee: &str) -> Option<usize> {
+    Some(match callee {
+        "omp_set_num_threads" | "omp_set_lock" | "omp_set_nest_lock" | "omp_unset_lock"
+        | "omp_unset_nest_lock" | "omp_test_lock" | "malloc" | "free" | "fabs" | "fabsf"
+        | "sqrt" | "sqrtf" | "sin" | "cos" | "exp" | "log" | "abs" | "exit" | "assert"
+        | "srand" => 1,
+        "calloc" | "pow" | "fmax" | "fmin" => 2,
+        _ => return None,
+    })
+}
+
+/// The error for a builtin call with too few arguments.
+pub(crate) fn arity_error(callee: &str, need: usize, got: usize) -> RtError {
+    RtError::Unsupported(format!("{callee}() takes {need} argument(s), got {got}"))
+}
+
+/// Cells `malloc(bytes)` asks for (one per 8 bytes).
+pub(crate) fn malloc_cells(bytes: Value) -> usize {
+    bytes.as_int().max(0) as usize / 8
+}
+
+/// Cells `calloc(n, size)` asks for; saturating, so a product past the
+/// address space fails the heap budget instead of wrapping.
+pub(crate) fn calloc_cells(n: Value, size: Value) -> usize {
+    (n.as_int().max(0) as usize).saturating_mul(size.as_int().max(1) as usize) / 8
+}
+
+/// Cells an array declaration with these (already clamped) extents
+/// needs; `None` when the product overflows.
+pub(crate) fn array_cells(dims: impl IntoIterator<Item = usize>) -> Option<usize> {
+    dims.into_iter().try_fold(1usize, |n, d| n.checked_mul(d))
+}
+
+/// A declaration extent as evaluated (at least 1).
+pub(crate) fn extent(v: Value) -> usize {
+    v.as_int().max(1) as usize
+}
+
+/// Append `count` zeroed cells (at least one) to `heap` under the
+/// [`MAX_HEAP_CELLS`] budget; returns the first cell's address.
+pub(crate) fn alloc_cells(heap: &mut Vec<Value>, count: usize) -> RtResult<usize> {
+    let count = count.max(1);
+    if count > MAX_HEAP_CELLS - heap.len() {
+        return Err(RtError::HeapExhausted);
+    }
+    let addr = heap.len();
+    heap.extend(std::iter::repeat_n(Value::ZERO, count));
+    Ok(addr)
+}
 
 /// Statement-level control flow.
 pub(crate) enum Flow {
@@ -133,6 +209,10 @@ pub(crate) fn run_with_globals(
 
 struct Interp<'a> {
     funcs: HashMap<&'a str, &'a FuncDef>,
+    /// Function names in order of first definition (library-mode order).
+    func_order: Vec<&'a str>,
+    /// Nesting depth of user calls and directive statements.
+    depth: usize,
     cfg: Config,
     sched: Scheduler,
     heap: Vec<Value>,
@@ -168,11 +248,14 @@ struct Interp<'a> {
 impl<'a> Interp<'a> {
     fn new(unit: &'a TranslationUnit, cfg: &Config) -> RtResult<Self> {
         let mut funcs = HashMap::new();
+        let mut func_order = Vec::new();
         let mut threadprivate = Vec::new();
         for item in &unit.items {
             match item {
                 Item::Func(f) => {
-                    funcs.insert(f.name.as_str(), f);
+                    if funcs.insert(f.name.as_str(), f).is_none() {
+                        func_order.push(f.name.as_str());
+                    }
                 }
                 Item::Pragma(d) => {
                     if let DirectiveKind::Threadprivate(vars) = &d.kind {
@@ -184,6 +267,8 @@ impl<'a> Interp<'a> {
         }
         let mut me = Interp {
             funcs,
+            func_order,
+            depth: 0,
             cfg: cfg.clone(),
             sched: Scheduler::new(cfg.threads, cfg.seed),
             heap: vec![Value::ZERO], // address 0 reserved (null)
@@ -241,10 +326,8 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    fn alloc(&mut self, count: usize) -> usize {
-        let addr = self.heap.len();
-        self.heap.extend(std::iter::repeat_n(Value::ZERO, count.max(1)));
-        addr
+    fn alloc(&mut self, count: usize) -> RtResult<usize> {
+        alloc_cells(&mut self.heap, count)
     }
 
     fn cur_scope(&mut self) -> &mut HashMap<String, Binding> {
@@ -322,20 +405,6 @@ impl<'a> Interp<'a> {
         self.trace.push_release(self.agent, self.phase, sid);
     }
 
-    fn emit_task_spawn(&mut self, child: usize) {
-        if !self.in_region {
-            return;
-        }
-        self.trace.push_task_spawn(self.agent, self.phase, child);
-    }
-
-    fn emit_task_end(&mut self) {
-        if !self.in_region {
-            return;
-        }
-        self.trace.push_task_end(self.agent, self.phase);
-    }
-
     fn emit_task_wait(&mut self, children: &[usize]) {
         if !self.in_region {
             return;
@@ -351,17 +420,13 @@ impl<'a> Interp<'a> {
         for v in &d.vars {
             let mut dims = Vec::new();
             for dim in &v.ty.dims {
-                let n = match dim {
-                    Some(e) => {
-                        let val = self.eval(e)?;
-                        usize::try_from(val.as_int().max(0)).unwrap_or(0)
-                    }
-                    None => 0,
-                };
-                dims.push(n.max(1));
+                dims.push(match dim {
+                    Some(e) => extent(self.eval(e)?),
+                    None => 1,
+                });
             }
-            let count: usize = if dims.is_empty() { 1 } else { dims.iter().product() };
-            let addr = self.alloc(count);
+            let count = array_cells(dims.iter().copied()).ok_or(RtError::HeapExhausted)?;
+            let addr = self.alloc(count)?;
             let binding = Binding { addr, count, dims };
             match &v.init {
                 Some(Init::Expr(e)) => {
@@ -490,7 +555,7 @@ impl<'a> Interp<'a> {
             let i = self.eval(idx)?.as_int();
             let i = usize::try_from(i.max(0)).unwrap_or(0);
             let stride: usize = dims.get(k + 1..).map(|r| r.iter().product()).unwrap_or(1);
-            flat += i * stride.max(1);
+            flat = flat.saturating_add(i.saturating_mul(stride.max(1)));
         }
         Ok(flat)
     }
@@ -525,7 +590,7 @@ impl<'a> Interp<'a> {
                 UnOp::Neg => {
                     let v = self.eval(expr)?;
                     Ok(match v {
-                        Value::Int(i) => Value::Int(-i),
+                        Value::Int(i) => Value::Int(i.wrapping_neg()),
                         Value::Float(f) => Value::Float(-f),
                         Value::Ptr(_) => Value::Int(0),
                     })
@@ -585,7 +650,7 @@ impl<'a> Interp<'a> {
                 self.emit_access(addr, expr, false);
                 let delta = if *inc { 1 } else { -1 };
                 let new = match old {
-                    Value::Int(v) => Value::Int(v + delta),
+                    Value::Int(v) => Value::Int(v.wrapping_add(delta)),
                     Value::Float(f) => Value::Float(f + delta as f64),
                     Value::Ptr(p) => Value::Ptr(offset_addr(p, delta)?),
                 };
@@ -604,11 +669,14 @@ impl<'a> Interp<'a> {
                 let v = self.eval(expr)?;
                 Ok(coerce(v, ty.base, ty.pointers > 0))
             }
-            Expr::Call { callee, args, span } => self.call(callee, args, *span),
+            Expr::Call { callee, args, .. } => self.call(callee, args),
         }
     }
 
-    fn call(&mut self, callee: &str, args: &[Expr], span: minic::Span) -> RtResult<Value> {
+    fn call(&mut self, callee: &str, args: &[Expr]) -> RtResult<Value> {
+        if let Some(need) = builtin_arity(callee).filter(|&n| args.len() < n) {
+            return Err(arity_error(callee, need, args.len()));
+        }
         // OpenMP runtime + libc built-ins first.
         match callee {
             "omp_get_thread_num" => return Ok(Value::Int(self.tid as i64)),
@@ -626,17 +694,17 @@ impl<'a> Interp<'a> {
                 return Ok(Value::Int(0));
             }
             "omp_set_lock" | "omp_set_nest_lock" => {
-                let (addr, _) = self.lock_addr(args, span)?;
+                let addr = self.lock_addr(&args[0])?;
                 self.emit_acquire(&SyncKey::Lock(addr));
                 return Ok(Value::Int(0));
             }
             "omp_unset_lock" | "omp_unset_nest_lock" => {
-                let (addr, _) = self.lock_addr(args, span)?;
+                let addr = self.lock_addr(&args[0])?;
                 self.emit_release(&SyncKey::Lock(addr));
                 return Ok(Value::Int(0));
             }
             "omp_test_lock" => {
-                let (addr, _) = self.lock_addr(args, span)?;
+                let addr = self.lock_addr(&args[0])?;
                 self.emit_acquire(&SyncKey::Lock(addr));
                 return Ok(Value::Int(1));
             }
@@ -653,16 +721,14 @@ impl<'a> Interp<'a> {
                 self.printed.push(parts.join(" "));
                 return Ok(Value::Int(0));
             }
-            "malloc" | "calloc" => {
-                let bytes = self.eval(&args[0])?.as_int().max(0) as usize;
-                let n = if callee == "calloc" {
-                    let sz = self.eval(&args[1])?.as_int().max(1) as usize;
-                    bytes * sz / 8
-                } else {
-                    bytes / 8
-                };
-                let addr = self.alloc(n.max(1));
-                return Ok(Value::Ptr(addr));
+            "malloc" => {
+                let cells = malloc_cells(self.eval(&args[0])?);
+                return Ok(Value::Ptr(self.alloc(cells)?));
+            }
+            "calloc" => {
+                let n = self.eval(&args[0])?;
+                let cells = calloc_cells(n, self.eval(&args[1])?);
+                return Ok(Value::Ptr(self.alloc(cells)?));
             }
             "free" => {
                 let _ = self.eval(&args[0])?;
@@ -695,7 +761,7 @@ impl<'a> Interp<'a> {
                 let b = self.eval(&args[1])?.as_float();
                 return Ok(Value::Float(a.min(b)));
             }
-            "abs" => return Ok(Value::Int(self.eval(&args[0])?.as_int().abs())),
+            "abs" => return Ok(Value::Int(self.eval(&args[0])?.as_int().wrapping_abs())),
             "exit" => {
                 let _ = self.eval(&args[0])?;
                 return Err(RtError::Unsupported("exit() called".into()));
@@ -724,13 +790,18 @@ impl<'a> Interp<'a> {
             let v = self.eval(a)?;
             bound.push((p.name.clone(), v));
         }
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(RtError::CallTooDeep);
+        }
         self.frames.push(vec![HashMap::new()]);
         for (name, v) in bound {
-            let addr = self.alloc(1);
+            let addr = self.alloc(1)?;
             self.heap[addr] = v;
             self.cur_scope().insert(name, Binding { addr, count: 1, dims: Vec::new() });
         }
+        self.depth += 1;
         let flow = self.exec_block(&f.body);
+        self.depth -= 1;
         self.frames.pop();
         match flow? {
             Flow::Return(v) => Ok(v),
@@ -738,14 +809,10 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn lock_addr(&mut self, args: &[Expr], span: minic::Span) -> RtResult<(usize, ())> {
-        let Some(arg) = args.first() else {
-            return Err(RtError::Unsupported(format!("lock call without args at {}", span.pos)));
-        };
-        let v = self.eval(arg)?;
-        match v {
-            Value::Ptr(p) => Ok((p, ())),
-            other => Ok((usize::try_from(other.as_int().max(0)).unwrap_or(0), ())),
+    fn lock_addr(&mut self, arg: &Expr) -> RtResult<usize> {
+        match self.eval(arg)? {
+            Value::Ptr(p) => Ok(p),
+            other => Ok(usize::try_from(other.as_int().max(0)).unwrap_or(0)),
         }
     }
 
@@ -755,12 +822,14 @@ impl<'a> Interp<'a> {
 
     fn run_main(&mut self) -> RtResult<Option<i64>> {
         let Some(main) = self.funcs.get("main").copied() else {
-            // Library-style kernel: execute every function in order.
-            let funcs: Vec<&FuncDef> = self.funcs.values().copied().collect();
+            // Library-style kernel: run each function name once, in order
+            // of first definition, using the definition that wins the
+            // function table.
+            let funcs: Vec<&FuncDef> = self.func_order.iter().map(|n| self.funcs[n]).collect();
             for f in funcs {
                 self.frames.push(vec![HashMap::new()]);
                 for p in &f.params {
-                    let addr = self.alloc(64); // synthetic buffer arguments
+                    let addr = self.alloc(64)?; // synthetic buffer arguments
                     self.cur_scope()
                         .insert(p.name.clone(), Binding { addr, count: 64, dims: vec![64] });
                 }
@@ -773,7 +842,7 @@ impl<'a> Interp<'a> {
         self.frames.push(vec![HashMap::new()]);
         // argc/argv defaults.
         for (i, p) in main.params.iter().enumerate() {
-            let addr = self.alloc(1);
+            let addr = self.alloc(1)?;
             self.heap[addr] = if i == 0 { Value::Int(1) } else { Value::Ptr(0) };
             self.cur_scope().insert(p.name.clone(), Binding { addr, count: 1, dims: Vec::new() });
         }
@@ -853,7 +922,12 @@ impl<'a> Interp<'a> {
             }
             Stmt::Break(_) => Ok(Flow::Break),
             Stmt::Continue(_) => Ok(Flow::Continue),
-            Stmt::Omp { dir, body, .. } => self.exec_directive(dir, body.as_deref()),
+            Stmt::Omp { dir, body, .. } => {
+                self.depth += 1;
+                let flow = self.exec_directive(dir, body.as_deref());
+                self.depth -= 1;
+                flow
+            }
         }
     }
 
@@ -962,16 +1036,10 @@ impl<'a> Interp<'a> {
                 if !self.in_region {
                     return self.exec_stmt(body);
                 }
-                let winner = self.construct_decision(dir.span.start, |me, occ| {
-                    let key = (dir.span.start, occ);
-                    if let Some(w) = me.winner_cache.get(&key) {
-                        *w
-                    } else {
-                        let w = me.sched.single_winner();
-                        me.winner_cache.insert(key, w);
-                        w
-                    }
-                });
+                // Consistent per-construct decision across the team.
+                let key = (dir.span.start, self.next_occ(dir.span.start));
+                let winner =
+                    *self.winner_cache.entry(key).or_insert_with(|| self.sched.single_winner());
                 let flow = if self.tid == winner {
                     self.with_privatized(dir, |me| me.exec_stmt(body))?
                 } else {
@@ -1026,12 +1094,12 @@ impl<'a> Interp<'a> {
                 }
                 let child = self.next_task_agent;
                 self.next_task_agent += 1;
-                self.emit_task_spawn(child);
+                self.trace.push_task_spawn(self.agent, self.phase, child);
                 self.pending_tasks.push(child);
                 let saved_agent = self.agent;
                 self.agent = child;
                 let flow = self.with_privatized(dir, |me| me.exec_stmt(body))?;
-                self.emit_task_end();
+                self.trace.push_task_end(self.agent, self.phase);
                 self.agent = saved_agent;
                 Ok(flow)
             }
@@ -1042,17 +1110,12 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Consistent per-construct decisions across simulated threads.
-    fn construct_decision(
-        &mut self,
-        span_key: u32,
-        decide: impl FnOnce(&mut Self, usize) -> usize,
-    ) -> usize {
-        let occ_key = (span_key, self.tid);
-        let occ = self.occ.entry(occ_key).or_insert(0);
-        let this_occ = *occ;
-        *occ += 1;
-        decide(self, this_occ)
+    /// The next occurrence number of construct `key` on this thread:
+    /// with the key, it indexes the team-wide decision caches.
+    fn next_occ(&mut self, key: u32) -> usize {
+        let e = self.occ.entry((key, self.tid)).or_insert(0);
+        *e += 1;
+        *e - 1
     }
 
     /// Run `f` with the directive's private/firstprivate vars rebound to
@@ -1071,7 +1134,7 @@ impl<'a> Interp<'a> {
                         let shape = self.lookup(v).cloned();
                         let (count, dims) =
                             shape.map(|b| (b.count, b.dims)).unwrap_or((1, Vec::new()));
-                        let addr = self.alloc(count);
+                        let addr = self.alloc(count)?;
                         self.cur_scope().insert(v.clone(), Binding { addr, count, dims });
                     }
                 }
@@ -1079,7 +1142,7 @@ impl<'a> Interp<'a> {
                     for v in vars {
                         let outer = self.lookup(v).cloned();
                         if let Some(b) = outer {
-                            let addr = self.alloc(b.count);
+                            let addr = self.alloc(b.count)?;
                             for i in 0..b.count {
                                 let val = self.load(b.addr + i)?;
                                 self.store(addr + i, val)?;
@@ -1093,7 +1156,7 @@ impl<'a> Interp<'a> {
                 }
                 Clause::Reduction(op, vars) => {
                     for v in vars {
-                        let addr = self.alloc(1);
+                        let addr = self.alloc(1)?;
                         self.heap[addr] = reduction_identity(*op);
                         self.cur_scope()
                             .insert(v.clone(), Binding { addr, count: 1, dims: Vec::new() });
@@ -1107,7 +1170,7 @@ impl<'a> Interp<'a> {
         for v in &tp {
             if self.frames[0][0].contains_key(v) && self.lookup_is_global(v) {
                 let g = self.frames[0][0].get(v).cloned().unwrap();
-                let addr = self.alloc(g.count);
+                let addr = self.alloc(g.count)?;
                 self.cur_scope()
                     .insert(v.clone(), Binding { addr, count: g.count, dims: g.dims });
             }
@@ -1246,7 +1309,7 @@ impl<'a> Interp<'a> {
                 Some(b) => self.load(b.addr)?,
                 None => Value::Int(0),
             };
-            let addr = self.alloc(1);
+            let addr = self.alloc(1)?;
             self.heap[addr] = init_val;
             self.cur_scope().insert(v.clone(), Binding { addr, count: 1, dims: Vec::new() });
         }
@@ -1257,7 +1320,7 @@ impl<'a> Interp<'a> {
             for _ in 1..dir.collapse() {
                 let Some(nf) = as_for(&nested.body) else { break };
                 if let Some(v) = nf.induction_var() {
-                    let addr = self.alloc(1);
+                    let addr = self.alloc(1)?;
                     self.cur_scope()
                         .insert(v.to_string(), Binding { addr, count: 1, dims: Vec::new() });
                 }
@@ -1273,7 +1336,7 @@ impl<'a> Interp<'a> {
             let saved = self.suppress_events;
             self.suppress_events = true;
             loop {
-                if iter_vals.len() > 4_000_000 {
+                if iter_vals.len() > MAX_ITERATIONS {
                     self.suppress_events = saved;
                     self.pop_scope();
                     return Err(RtError::FuelExhausted);
@@ -1341,16 +1404,11 @@ impl<'a> Interp<'a> {
         let n = if levels.is_empty() {
             iter_vals.len()
         } else {
-            levels.iter().map(|(_, v)| v.len()).product()
+            array_cells(levels.iter().map(|(_, v)| v.len()))
+                .filter(|&n| n <= MAX_ITERATIONS)
+                .ok_or(RtError::FuelExhausted)?
         };
-        let key_span = dir.span.start;
-        let occ = {
-            let e = self.occ.entry((key_span, self.tid)).or_insert(0);
-            let o = *e;
-            *e += 1;
-            o
-        };
-        let cache_key = (key_span, occ);
+        let cache_key = (dir.span.start, self.next_occ(dir.span.start));
         let assignment = if let Some(a) = self.iter_cache.get(&cache_key) {
             a.clone()
         } else {
@@ -1487,7 +1545,7 @@ impl<'a> Interp<'a> {
         let Some(cond) = &nf.cond else { return Ok(None) };
         let mut vals = Vec::new();
         loop {
-            if vals.len() > 1_000_000 {
+            if vals.len() > MAX_ITERATIONS / 4 {
                 return Err(RtError::FuelExhausted);
             }
             if !self.eval(cond)?.truthy() {
@@ -1523,27 +1581,18 @@ impl<'a> Interp<'a> {
             return self.exec_stmt(body);
         };
         // Stable per-construct section ownership.
-        let key_span = dir.span.start;
-        let occ = {
-            let e = self.occ.entry((key_span, self.tid)).or_insert(0);
-            let o = *e;
-            *e += 1;
-            o
-        };
-        let cache_key = (key_span, occ);
+        let cache_key = (dir.span.start, self.next_occ(dir.span.start));
         let n_sections = blk
             .stmts
             .iter()
             .filter(|s| matches!(s, Stmt::Omp { dir, .. } if dir.kind == DirectiveKind::Section))
             .count()
             .max(1);
-        let owners = if let Some(o) = self.section_cache.get(&cache_key) {
-            o.clone()
-        } else {
-            let o: Vec<usize> = (0..n_sections).map(|i| self.sched.section_owner(i)).collect();
-            self.section_cache.insert(cache_key, o.clone());
-            o
-        };
+        let owners = self
+            .section_cache
+            .entry(cache_key)
+            .or_insert_with(|| (0..n_sections).map(|i| self.sched.section_owner(i)).collect())
+            .clone();
 
         self.push_scope();
         let mut idx = 0usize;
@@ -1630,8 +1679,10 @@ pub(crate) fn for_header_mentions(f: &ForStmt, vars: &[String]) -> bool {
 }
 
 pub(crate) fn offset_addr(addr: usize, off: i64) -> RtResult<usize> {
-    let a = addr as i64 + off;
-    usize::try_from(a).map_err(|_| RtError::BadAddress("negative address".into()))
+    (addr as i64)
+        .checked_add(off)
+        .and_then(|a| usize::try_from(a).ok())
+        .ok_or_else(|| RtError::BadAddress("negative address".into()))
 }
 
 pub(crate) fn coerce(v: Value, base: BaseType, pointer: bool) -> Value {
@@ -1657,7 +1708,7 @@ pub(crate) fn bin_op(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
     if let (Value::Ptr(p), Value::Int(i)) = (a, b) {
         match op {
             Add => return Ok(Value::Ptr(offset_addr(p, i)?)),
-            Sub => return Ok(Value::Ptr(offset_addr(p, -i)?)),
+            Sub => return Ok(Value::Ptr(offset_addr(p, i.wrapping_neg())?)),
             _ => {}
         }
     }

@@ -12,13 +12,12 @@
 //!    `schedule_sensitive` flag, and the same remaining-fuel trajectory
 //!    (fuel is charged by a per-instruction cost side-table that mirrors
 //!    the interpreter's `spend()` calls exactly).
-//! 2. **Fallback safety.** Lowering rejects whole kernels it cannot
-//!    prove equivalent (tasks, sections, `single`, `threadprivate`,
-//!    library-mode kernels without `main`, …) and plants [`Instr::Trap`]
-//!    on node-level constructs whose interpreter semantics depend on
-//!    runtime state. Any rejection or executor error makes the caller
-//!    rerun the interpreter, so a *liberal* reject is always correct,
-//!    merely slower.
+//! 2. **Totality.** Every parsed kernel lowers. Where the interpreter
+//!    would fail at run time (an unresolvable name, a non-lvalue
+//!    assignment target, a builtin called with too few arguments, a
+//!    directive missing its body), lowering plants an [`Instr::Trap`]
+//!    that raises the same [`RtError`] at the same point, so the two
+//!    engines agree on success, on the trace, and on failure.
 //! 3. **Allocation-free events.** The executor hot loop (loads, stores,
 //!    arithmetic, jumps) performs no heap allocation per event; strings
 //!    are materialized only on first use of a site, exactly like the
@@ -30,11 +29,11 @@
 //! loops) stay as data — [`DirIr`] / [`WsIr`] descriptors interpreted by
 //! Rust handlers that call back into bytecode ranges for the hot parts.
 
-use crate::interp::RunOutput;
+use crate::interp::{RtError, RunOutput};
 use crate::value::Value;
 use minic::ast::{BaseType, BinOp};
 use minic::pragma::{ReductionOp, ScheduleKind};
-use minic::Span;
+use minic::{Pos, Span};
 
 /// Version of the IR format. Cached programs are keyed by this so a
 /// format change can never replay stale bytecode.
@@ -43,8 +42,9 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Bit set in a slot id when the slot lives in the global frame.
 pub const GLOBAL_BIT: u32 = 1 << 31;
 
-/// Maximum subscript chain depth [`Instr::IndexAddr`] supports.
-pub const MAX_INDEX_CHAIN: usize = 4;
+/// [`Instr::CheckAddr`] / [`Instr::AssertPtr`] location for a
+/// dereference (`*p`), whose error messages carry no source location.
+pub const DEREF: u32 = u32::MAX;
 
 /// A half-open range `[start, end)` of instruction indices. Every range
 /// ends in a terminator (`End`, `Ret`, `FlowBrk`, `FlowCont`), so `end`
@@ -142,7 +142,10 @@ pub enum Instr {
         /// First subscript register.
         idx0: u16,
         /// Number of subscripts.
-        n: u8,
+        n: u16,
+        /// Array name and position for the bounds error
+        /// (index into [`Program::locs`]).
+        at: u32,
     },
     /// `dst = Ptr(base)` from an arbitrary value (`Ptr(p)` → `p`,
     /// otherwise the integer clamped at 0) — pointer-base subscripting.
@@ -161,15 +164,20 @@ pub enum Instr {
         /// Offset register (interpreted as an integer).
         off: u16,
     },
-    /// Error unless `src` holds a `Ptr` (dereference of a non-pointer).
+    /// Error unless `src` holds a `Ptr` (dereference or subscript of a
+    /// non-pointer).
     AssertPtr {
         /// Checked register.
         src: u16,
+        /// Subscript position ([`Program::locs`]), or [`DEREF`].
+        at: u32,
     },
     /// Error when the address in `src` is null or past the heap end.
     CheckAddr {
         /// Checked register (holds a `Ptr`).
         src: u16,
+        /// Pointer name and position ([`Program::locs`]), or [`DEREF`].
+        at: u32,
     },
     /// Load through an address register and record a read event.
     LoadInd {
@@ -274,19 +282,31 @@ pub enum Instr {
         /// Register holding the return value.
         src: u16,
     },
-    /// Runtime-reached unsupported construct: abort the run (the caller
-    /// falls back to the tree interpreter).
-    Trap,
+    /// Fail the run with [`Program::errors`]`[err]` — the error the
+    /// interpreter raises at this point.
+    Trap {
+        /// Index into [`Program::errors`].
+        err: u32,
+    },
+    /// Push a register onto the argument stack (call arguments, `printf`
+    /// values, and the extents of very long declarators).
+    Arg {
+        /// Pushed register.
+        src: u16,
+    },
     /// Allocate heap cells for a declarator and set the slot's state.
-    /// Dimension extents are taken from registers `dims0..dims0+n_dims`
-    /// (each clamped to at least 1); zero dims allocate a single cell.
+    /// Dimension extents are the top `spill` argument-stack values (popped)
+    /// followed by registers `dims0..dims0+n_dims`, each clamped to at
+    /// least 1; zero dims allocate a single cell.
     AllocSlot {
         /// Destination slot.
         slot: u32,
         /// First dimension register.
         dims0: u16,
-        /// Number of dimensions.
+        /// Number of register dimensions.
         n_dims: u8,
+        /// Number of leading dimensions on the argument stack.
+        spill: u32,
     },
     /// Initializing store to a slot's first cell (no event).
     StoreSlotInit {
@@ -314,17 +334,15 @@ pub enum Instr {
         /// Source register.
         src: u16,
     },
-    /// Call a user function with `n_args` argument values in registers
-    /// `args0..args0+n_args`.
+    /// Call a user function with the top `n_args` argument-stack values
+    /// (popped) as its parameters.
     CallUser {
         /// Result register.
         dst: u16,
         /// Callee index into [`Program::funcs`].
         func: u32,
-        /// First argument register.
-        args0: u16,
         /// Argument count.
-        n_args: u16,
+        n_args: u32,
     },
     /// `dst = Int(current thread id)`.
     GetTid {
@@ -341,13 +359,11 @@ pub enum Instr {
         /// Destination register.
         dst: u16,
     },
-    /// Record a printed line from `n` formatted values in registers
-    /// `args0..args0+n`.
+    /// Record a printed line from the top `n` argument-stack values
+    /// (popped), formatted.
     Printf {
-        /// First value register.
-        args0: u16,
         /// Value count.
-        n: u16,
+        n: u32,
     },
     /// `dst = Ptr(alloc(max(1, bytes/8)))` with `bytes` from a register.
     Malloc {
@@ -462,11 +478,27 @@ pub struct RedMerge {
     pub outer: Option<u32>,
 }
 
-/// Privatization plan for one parallel directive.
+/// Per-thread shadow of a `threadprivate` global at one privatization
+/// point. The slot gets fresh storage shaped like the global when the
+/// variable has been declared threadprivate by the time the point runs;
+/// otherwise it aliases the global.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TpShadow {
+    /// Variable name (index into [`Program::names`]).
+    pub name: u32,
+    /// The shadow slot.
+    pub slot: u32,
+    /// The global slot shadowed.
+    pub global: u32,
+}
+
+/// Privatization plan for one directive (`parallel`, `single`, `task`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PrivSpec {
     /// Per-variable setup actions, in clause order.
     pub ops: Vec<PrivOp>,
+    /// `threadprivate` shadows, set up after the clause actions.
+    pub tp: Vec<TpShadow>,
     /// Reduction merges, deduplicated per variable.
     pub merges: Vec<RedMerge>,
 }
@@ -546,8 +578,42 @@ pub struct WsIr {
     pub lastpriv: Vec<(u32, Option<u32>)>,
 }
 
-/// A parallel-region directive (`parallel`, `target`, and the combined
-/// loop forms).
+/// What each thread of a forked team runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// The body as a plain statement.
+    Plain(CodeRange),
+    /// A worksharing loop: index into [`Program::ws`].
+    Ws(u32),
+    /// A sections block: index into [`Program::sections`].
+    Sections(u32),
+}
+
+/// One statement of a `sections` block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SecItem {
+    /// A `section`, run by its owner thread only (the body is absent for
+    /// a bodiless `section`).
+    Section(Option<CodeRange>),
+    /// Any other statement, run by every thread.
+    Shared(CodeRange),
+}
+
+/// A `sections` block run inside a parallel region.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SectionsIr {
+    /// Cache key: the directive's pragma byte offset.
+    pub key: u32,
+    /// Owners drawn per occurrence (the `section` count, at least 1).
+    pub n_sections: u32,
+    /// The block's statements, in order.
+    pub items: Vec<SecItem>,
+    /// Whether the construct ends with an implicit barrier.
+    pub phase_end: bool,
+}
+
+/// A parallel-region directive (`parallel`, `target`, `parallel
+/// sections`, and the combined loop forms).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelIr {
     /// Statically serial (`num_threads(1)` / `if(0)`).
@@ -556,10 +622,8 @@ pub struct ParallelIr {
     pub team: Option<u32>,
     /// Privatization plan (fork path only).
     pub privs: PrivSpec,
-    /// Worksharing descriptor each team thread runs (combined forms).
-    pub ws_fork: Option<u32>,
-    /// Plain body range each team thread runs (non-loop forms).
-    pub plain_fork: Option<CodeRange>,
+    /// What each team thread runs.
+    pub fork: Work,
     /// Worksharing descriptor for the serial-but-in-region path.
     pub ws_serial: Option<u32>,
     /// The body as a plain statement (serial paths).
@@ -609,8 +673,48 @@ pub enum DirIr {
         /// Body range.
         body: Option<CodeRange>,
     },
-    /// Directive that requires a body but has none: error at runtime.
-    Trap,
+    /// `single`: inside a region one thread (drawn once per occurrence)
+    /// runs the privatized body; outside, the plain body runs.
+    Single {
+        /// Cache key: the directive's pragma byte offset.
+        key: u32,
+        /// Whether the construct ends with an implicit barrier.
+        phase_end: bool,
+        /// Privatization plan of the winner's body.
+        privs: PrivSpec,
+        /// The winner's body.
+        body: CodeRange,
+        /// The body outside a region.
+        plain: CodeRange,
+    },
+    /// `sections` standalone: inside a region, the sections block;
+    /// outside, the plain body.
+    Sections {
+        /// Index into [`Program::sections`].
+        sec: u32,
+        /// The body outside a region.
+        plain: CodeRange,
+    },
+    /// `task`: inside a region, spawn a task agent that runs the
+    /// privatized body at once; outside, the plain body runs.
+    Task {
+        /// Privatization plan of the task body.
+        privs: PrivSpec,
+        /// The task body.
+        body: CodeRange,
+        /// The body outside a region.
+        plain: CodeRange,
+    },
+    /// `taskwait`: join every pending task.
+    Taskwait,
+    /// `taskgroup`: run the body, then join the tasks it spawned.
+    Taskgroup {
+        /// Body range.
+        body: CodeRange,
+    },
+    /// `threadprivate` as a statement: declare the named globals
+    /// threadprivate from here on (indices into [`Program::names`]).
+    Threadprivate(Vec<u32>),
 }
 
 /// A compiled function.
@@ -625,7 +729,7 @@ pub struct FuncIr {
     /// Slot-window size.
     pub n_slots: u32,
     /// Parameter count (parameters occupy slots `0..n_params`).
-    pub n_params: u16,
+    pub n_params: u32,
 }
 
 /// A fully lowered kernel.
@@ -646,14 +750,29 @@ pub struct Program {
     pub dirs: Vec<DirIr>,
     /// Worksharing-loop descriptors.
     pub ws: Vec<WsIr>,
-    /// Compiled functions.
+    /// Sections blocks.
+    pub sections: Vec<SectionsIr>,
+    /// Compiled functions: one per definition, in definition order, then
+    /// the variants of calls that bind fewer parameters and the
+    /// library-mode entries.
     pub funcs: Vec<FuncIr>,
     /// Index of `main` in `funcs`.
-    pub main: u32,
+    pub main: Option<u32>,
+    /// Without `main`: the functions run one after another, each with a
+    /// 64-cell buffer per parameter (one per function name, in order of
+    /// first definition).
+    pub library: Vec<u32>,
+    /// Globals named by file-scope `threadprivate` pragmas, in order.
+    pub threadprivate: Vec<u32>,
+    /// Errors raised by [`Instr::Trap`].
+    pub errors: Vec<RtError>,
+    /// Names ([`Program::names`] indices) and positions quoted by
+    /// address errors.
+    pub locs: Vec<(u32, Pos)>,
     /// Global declarations, run once before `main`.
     pub global_init: CodeRange,
-    /// Number of global slots.
-    pub n_globals: u32,
+    /// Name of each global slot ([`Program::names`] indices).
+    pub global_names: Vec<u32>,
     /// Register-window size of the global-init range.
     pub global_regs: u16,
 }
@@ -691,13 +810,13 @@ impl std::fmt::Display for Instr {
             StoreScalar { src, slot, site } => {
                 write!(f, "store {} = r{src} !site{site}", slot_name(slot))
             }
-            IndexAddr { dst, slot, idx0, n } => {
+            IndexAddr { dst, slot, idx0, n, .. } => {
                 write!(f, "r{dst} = index {} [r{idx0}; {n}]", slot_name(slot))
             }
             ToAddr { dst, src } => write!(f, "r{dst} = toaddr r{src}"),
             AddOff { dst, base, off } => write!(f, "r{dst} = addoff r{base} + r{off}"),
-            AssertPtr { src } => write!(f, "assert_ptr r{src}"),
-            CheckAddr { src } => write!(f, "check_addr r{src}"),
+            AssertPtr { src, .. } => write!(f, "assert_ptr r{src}"),
+            CheckAddr { src, .. } => write!(f, "check_addr r{src}"),
             LoadInd { dst, ptr, site } => write!(f, "r{dst} = load [r{ptr}] !site{site}"),
             StoreInd { src, ptr, site } => write!(f, "store [r{ptr}] = r{src} !site{site}"),
             IncDec { dst, ptr, site_r, site_w, inc, prefix } => write!(
@@ -719,20 +838,23 @@ impl std::fmt::Display for Instr {
             FlowBrk => write!(f, "flow break"),
             FlowCont => write!(f, "flow continue"),
             Ret { src } => write!(f, "ret r{src}"),
-            Trap => write!(f, "trap"),
-            AllocSlot { slot, dims0, n_dims } => {
-                write!(f, "alloc {} dims[r{dims0}; {n_dims}]", slot_name(slot))
+            Trap { err } => write!(f, "trap e{err}"),
+            Arg { src } => write!(f, "arg r{src}"),
+            AllocSlot { slot, dims0, n_dims, spill } => {
+                write!(f, "alloc {} dims[r{dims0}; {n_dims}]", slot_name(slot))?;
+                if spill > 0 {
+                    write!(f, " after {spill} args")?;
+                }
+                Ok(())
             }
             StoreSlotInit { slot, src } => write!(f, "init {} = r{src}", slot_name(slot)),
             ListGuard { slot, i, to } => write!(f, "guard {}[{i}] -> {to}", slot_name(slot)),
             ListStore { slot, i, src } => write!(f, "init {}[{i}] = r{src}", slot_name(slot)),
-            CallUser { dst, func, args0, n_args } => {
-                write!(f, "r{dst} = call f{func} (r{args0}; {n_args})")
-            }
+            CallUser { dst, func, n_args } => write!(f, "r{dst} = call f{func} ({n_args} args)"),
             GetTid { dst } => write!(f, "r{dst} = tid"),
             GetNumThreads { dst } => write!(f, "r{dst} = num_threads"),
             GetMaxThreads { dst } => write!(f, "r{dst} = max_threads"),
-            Printf { args0, n } => write!(f, "printf (r{args0}; {n})"),
+            Printf { n } => write!(f, "printf ({n} args)"),
             Malloc { dst, bytes } => write!(f, "r{dst} = malloc r{bytes}"),
             Calloc { dst, bytes, sz } => write!(f, "r{dst} = calloc r{bytes} * r{sz}"),
             LockAcq { src } => write!(f, "lock_acquire r{src}"),
@@ -765,7 +887,7 @@ impl std::fmt::Display for Program {
             self.sites.len(),
             self.dirs.len(),
             self.ws.len(),
-            self.n_globals,
+            self.global_names.len(),
         )?;
         writeln!(f, "\nconsts:")?;
         for (i, c) in self.consts.iter().enumerate() {
@@ -789,7 +911,29 @@ impl std::fmt::Display for Program {
             match d {
                 DirIr::Barrier => writeln!(f, "barrier")?,
                 DirIr::Flush => writeln!(f, "flush")?,
-                DirIr::Trap => writeln!(f, "trap (missing body)")?,
+                DirIr::Taskwait => writeln!(f, "taskwait")?,
+                DirIr::Taskgroup { body } => writeln!(f, "taskgroup {}", range_name(*body))?,
+                DirIr::Threadprivate(names) => {
+                    let names: Vec<&str> =
+                        names.iter().map(|n| self.names[*n as usize].as_str()).collect();
+                    writeln!(f, "threadprivate({})", names.join(", "))?
+                }
+                DirIr::Single { key, phase_end, privs, body, plain } => {
+                    writeln!(
+                        f,
+                        "single(@{key}) phase_end={phase_end} plain={} body={}",
+                        range_name(*plain),
+                        range_name(*body),
+                    )?;
+                    self.fmt_privs(f, privs)?;
+                }
+                DirIr::Task { privs, body, plain } => {
+                    writeln!(f, "task plain={} body={}", range_name(*plain), range_name(*body))?;
+                    self.fmt_privs(f, privs)?;
+                }
+                DirIr::Sections { sec, plain } => {
+                    writeln!(f, "sections s{sec} plain={}", range_name(*plain))?
+                }
                 DirIr::Ws(w) => writeln!(f, "ws w{w}")?,
                 DirIr::Master { body } => writeln!(f, "master {}", range_name(*body))?,
                 DirIr::Critical { name, body } => {
@@ -819,46 +963,35 @@ impl std::fmt::Display for Program {
                         p.team,
                         range_name(p.plain_serial),
                     )?;
-                    if let Some(w) = p.ws_fork {
-                        write!(f, " fork=w{w}")?;
-                    }
-                    if let Some(r) = p.plain_fork {
-                        write!(f, " fork={}", range_name(r))?;
+                    match p.fork {
+                        Work::Ws(w) => write!(f, " fork=w{w}")?,
+                        Work::Plain(r) => write!(f, " fork={}", range_name(r))?,
+                        Work::Sections(s) => write!(f, " fork=s{s}")?,
                     }
                     if let Some(w) = p.ws_serial {
                         write!(f, " serial-ws=w{w}")?;
                     }
                     writeln!(f)?;
-                    for op in &p.privs.ops {
-                        match op {
-                            PrivOp::Fresh { slot, outer } => writeln!(
-                                f,
-                                "       priv fresh {} shape={}",
-                                slot_name(*slot),
-                                outer.map(slot_name).unwrap_or_else(|| "-".into()),
-                            )?,
-                            PrivOp::Copy { slot, outer } => writeln!(
-                                f,
-                                "       priv copy {} from {}",
-                                slot_name(*slot),
-                                slot_name(*outer),
-                            )?,
-                            PrivOp::Red { slot, op } => writeln!(
-                                f,
-                                "       priv red({}) {}",
-                                op.as_str(),
-                                slot_name(*slot),
-                            )?,
-                        }
-                    }
-                    for m in &p.privs.merges {
-                        writeln!(
+                    self.fmt_privs(f, &p.privs)?;
+                }
+            }
+        }
+        if !self.sections.is_empty() {
+            writeln!(f, "\nsections:")?;
+            for (i, sec) in self.sections.iter().enumerate() {
+                writeln!(
+                    f,
+                    "  s{i} = key=@{} sections={} phase_end={}",
+                    sec.key, sec.n_sections, sec.phase_end,
+                )?;
+                for item in &sec.items {
+                    match item {
+                        SecItem::Section(r) => writeln!(
                             f,
-                            "       merge({}) {} -> {}",
-                            m.op.as_str(),
-                            slot_name(m.private),
-                            m.outer.map(slot_name).unwrap_or_else(|| "-".into()),
-                        )?;
+                            "       section {}",
+                            r.map(range_name).unwrap_or_else(|| "-".into()),
+                        )?,
+                        SecItem::Shared(r) => writeln!(f, "       shared {}", range_name(*r))?,
                     }
                 }
             }
@@ -932,6 +1065,7 @@ impl std::fmt::Display for Program {
         }
         writeln!(f, "\nfuncs:")?;
         for (i, fun) in self.funcs.iter().enumerate() {
+            let i = i as u32;
             writeln!(
                 f,
                 "  f{i} = {} {} regs={} slots={} params={}{}",
@@ -940,15 +1074,32 @@ impl std::fmt::Display for Program {
                 fun.n_regs,
                 fun.n_slots,
                 fun.n_params,
-                if i as u32 == self.main { "  ; main" } else { "" },
+                if self.main == Some(i) {
+                    "  ; main"
+                } else if self.library.contains(&i) {
+                    "  ; library entry"
+                } else {
+                    ""
+                },
             )?;
+        }
+        if !self.threadprivate.is_empty() {
+            let names: Vec<&str> =
+                self.threadprivate.iter().map(|n| self.names[*n as usize].as_str()).collect();
+            writeln!(f, "\nthreadprivate: {}", names.join(", "))?;
+        }
+        if !self.errors.is_empty() {
+            writeln!(f, "\nerrors:")?;
+            for (i, e) in self.errors.iter().enumerate() {
+                writeln!(f, "  e{i} = {e}")?;
+            }
         }
         writeln!(
             f,
             "\nglobals: {} regs={} slots={}",
             range_name(self.global_init),
             self.global_regs,
-            self.n_globals,
+            self.global_names.len(),
         )?;
         writeln!(f, "\ncode:")?;
         for (pc, ins) in self.instrs.iter().enumerate() {
@@ -963,13 +1114,52 @@ impl std::fmt::Display for Program {
     }
 }
 
-/// What the compiled path produced for one seed: either a successful
-/// bytecode run, or the interpreter's result after a fallback.
+impl Program {
+    fn fmt_privs(&self, f: &mut std::fmt::Formatter<'_>, p: &PrivSpec) -> std::fmt::Result {
+        for op in &p.ops {
+            match op {
+                PrivOp::Fresh { slot, outer } => writeln!(
+                    f,
+                    "       priv fresh {} shape={}",
+                    slot_name(*slot),
+                    outer.map(slot_name).unwrap_or_else(|| "-".into()),
+                )?,
+                PrivOp::Copy { slot, outer } => writeln!(
+                    f,
+                    "       priv copy {} from {}",
+                    slot_name(*slot),
+                    slot_name(*outer),
+                )?,
+                PrivOp::Red { slot, op } => {
+                    writeln!(f, "       priv red({}) {}", op.as_str(), slot_name(*slot))?
+                }
+            }
+        }
+        for t in &p.tp {
+            writeln!(
+                f,
+                "       threadprivate {} shadows {} ({})",
+                slot_name(t.slot),
+                slot_name(t.global),
+                self.names[t.name as usize],
+            )?;
+        }
+        for m in &p.merges {
+            writeln!(
+                f,
+                "       merge({}) {} -> {}",
+                m.op.as_str(),
+                slot_name(m.private),
+                m.outer.map(slot_name).unwrap_or_else(|| "-".into()),
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// One seed's run on the bytecode executor.
 #[derive(Debug)]
 pub struct OracleRun {
-    /// The run result (from the bytecode executor, or from the
-    /// interpreter when the executor rejected or erred).
-    pub output: Result<RunOutput, crate::RtError>,
-    /// Whether the interpreter had to be used.
-    pub fell_back: bool,
+    /// The run result.
+    pub output: Result<RunOutput, RtError>,
 }

@@ -4,12 +4,19 @@
 //! the reproduction (the paper's §2.2 contrasts static analysis with
 //! dynamic happens-before detection). It has two halves:
 //!
-//! 1. [`interp`] — an interpreter that executes a `minic` kernel under a
-//!    simulated OpenMP runtime (threads, worksharing schedules,
-//!    critical/atomic/locks/barriers/single/master/sections/tasks) and
-//!    records a linearized [`trace::Trace`];
+//! 1. execution of a `minic` kernel under a simulated OpenMP runtime
+//!    (threads, worksharing schedules, critical/atomic/locks/barriers/
+//!    single/master/sections/tasks) that records a linearized
+//!    [`trace::Trace`]. The oracle [`lower`]s each kernel once to
+//!    bytecode and replays it on the [`exec`] executor; the AST
+//!    [`interp`]reter is the reference semantics the executor is tested
+//!    against;
 //! 2. [`mod@analyze`] — a FastTrack-style vector-clock replay that flags
 //!    accesses unordered by happens-before.
+//!
+//! Every run is bounded: fuel caps its steps, [`MAX_CALL_DEPTH`] its
+//! call nesting and [`MAX_HEAP_CELLS`] its heap, each raising an
+//! [`RtError`] in both engines.
 //!
 //! Running multiple seeds (`check_adversarial`) varies worksharing
 //! assignment and single-winner choices like re-running a real binary.
@@ -47,10 +54,10 @@ pub mod vc;
 
 pub use analyze::{analyze, analyze_events, analyze_reference, Analyzer, DynRace, DynReport};
 pub use exec::{run_oracle, run_program};
-pub use interp::{run, Config, RtError, RunOutput};
+pub use interp::{run, Config, RtError, RunOutput, MAX_CALL_DEPTH, MAX_HEAP_CELLS};
 pub use ir::{OracleRun, Program, FORMAT_VERSION};
-pub use lower::{lower, LowerError};
-pub use obs::{observe, observe_oracle, ObservedRun, Observation};
+pub use lower::lower;
+pub use obs::{observe, observe_oracle, Observation};
 pub use trace::{Event, EventKind, Op, Site, SiteId, SyncId, SyncKey, Trace};
 pub use vc::{Epoch, VectorClock};
 
@@ -74,7 +81,9 @@ pub fn check_source(src: &str, cfg: &Config) -> Result<DynReport, Box<dyn std::e
     Ok(check(&unit, cfg)?)
 }
 
-/// Union reports across several seeds (adversarial schedule exploration).
+/// Union reports across several seeds (adversarial schedule exploration)
+/// on the AST interpreter — the reference for
+/// [`check_adversarial_compiled`].
 ///
 /// Equivalent to running [`check`] per seed and merging in seed order,
 /// but: (1) if the first run never consulted the scheduler RNG, the
@@ -91,37 +100,28 @@ pub fn check_adversarial(
     check_adversarial_with_workers(unit, base, seeds, par::default_workers())
 }
 
-/// [`check_adversarial`] with an explicit worker count: the compiled
-/// sweep with no program, so every seed runs on the AST interpreter.
+/// [`check_adversarial`] with an explicit worker count.
 pub fn check_adversarial_with_workers(
     unit: &TranslationUnit,
     base: &Config,
     seeds: &[u64],
     workers: usize,
 ) -> Result<DynReport, RtError> {
-    check_adversarial_compiled_with_workers(unit, None, base, seeds, workers).map(|s| s.report)
+    sweep(seeds, workers, |seed| run(unit, &Config { seed, ..base.clone() }))
 }
 
-/// Result of a compiled adversarial sweep: the merged report plus
-/// whether any seed had to fall back to the AST interpreter.
+/// Result of a compiled adversarial sweep.
 #[derive(Debug)]
 pub struct CompiledSweep {
     /// Merged report across seeds (byte-identical to
     /// [`check_adversarial`]'s).
     pub report: DynReport,
-    /// True when at least one seed ran on the interpreter instead of the
-    /// bytecode executor (lowering rejected the kernel, no program was
-    /// supplied, or the executor erred).
-    pub fell_back: bool,
 }
 
-/// [`check_adversarial`] through the bytecode fast path.
-///
-/// Pass the kernel's cached lowered [`Program`] (or `None` to force the
-/// interpreter). Each seed runs on the bytecode executor and falls back
-/// to the AST interpreter per [`exec::run_oracle`]'s contract, so the
-/// merged report — and any error — is byte-identical to the
-/// interpreter-only sweep.
+/// The oracle's adversarial sweep: [`check_adversarial`] on the bytecode
+/// executor. Pass the kernel's cached lowered [`Program`], or `None` to
+/// lower `unit` here. The merged report — and any error — is identical
+/// to the interpreter sweep's.
 pub fn check_adversarial_compiled(
     unit: &TranslationUnit,
     prog: Option<&Program>,
@@ -139,25 +139,39 @@ pub fn check_adversarial_compiled_with_workers(
     seeds: &[u64],
     workers: usize,
 ) -> Result<CompiledSweep, RtError> {
-    let Some((&first, rest)) = seeds.split_first() else {
-        return Ok(CompiledSweep { report: DynReport::default(), fell_back: false });
+    let lowered;
+    let prog = match prog {
+        Some(p) => p,
+        None => {
+            lowered = lower(unit);
+            &lowered
+        }
     };
-    let run0 = exec::run_oracle(unit, prog, &Config { seed: first, ..base.clone() });
-    let mut fell_back = run0.fell_back;
-    let out = run0.output?;
+    let report = sweep(seeds, workers, |seed| run_program(prog, &Config { seed, ..base.clone() }))?;
+    Ok(CompiledSweep { report })
+}
+
+/// The seed loop both sweeps share: run the first seed, stop there when
+/// the run never consulted the scheduler RNG, else fan the rest over
+/// `workers` threads and merge in seed order (first error wins).
+fn sweep(
+    seeds: &[u64],
+    workers: usize,
+    run_seed: impl Fn(u64) -> Result<RunOutput, RtError> + Sync,
+) -> Result<DynReport, RtError> {
+    let Some((&first, rest)) = seeds.split_first() else {
+        return Ok(DynReport::default());
+    };
+    let out = run_seed(first)?;
     let mut merged = analyze(&out.trace);
     if !out.schedule_sensitive || rest.is_empty() {
-        return Ok(CompiledSweep { report: merged, fell_back });
+        return Ok(merged);
     }
-    let results = par::par_map(rest, workers, |&seed| {
-        let r = exec::run_oracle(unit, prog, &Config { seed, ..base.clone() });
-        (r.output.map(|o| analyze(&o.trace)), r.fell_back)
-    });
-    for (r, fb) in results {
-        fell_back |= fb;
+    let results = par::par_map(rest, workers, |&seed| run_seed(seed).map(|o| analyze(&o.trace)));
+    for r in results {
         merged.merge(r?);
     }
-    Ok(CompiledSweep { report: merged, fell_back })
+    Ok(merged)
 }
 
 #[cfg(test)]

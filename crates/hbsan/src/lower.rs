@@ -20,40 +20,26 @@
 //!    declaration's dims/init are lowered *before* its name is bound,
 //!    privatization clauses see earlier clauses' bindings, and
 //!    worksharing-loop walks rebind induction variables in the same
-//!    order the interpreter does.
-//! 3. **Liberal rejection**: any construct whose runtime behavior the
-//!    bytecode cannot reproduce exactly (tasks, sections, `single`,
-//!    `threadprivate`, library-mode kernels without `main`, unresolvable
-//!    names, deep index chains, …) rejects the whole kernel with a
-//!    [`LowerError`]. Callers fall back to the interpreter, so rejecting
-//!    too much is merely slow, never wrong.
+//!    order the interpreter does. The one binding decided at run time —
+//!    whether a `threadprivate` global is shadowed — gets a slot that
+//!    either holds fresh storage or aliases the global.
+//! 3. **Totality**: every kernel lowers. A construct the interpreter
+//!    fails on at run time lowers to an [`Instr::Trap`] carrying the
+//!    interpreter's error at the same point; a call that binds fewer
+//!    parameters than its callee declares gets a variant of the callee
+//!    compiled with only those parameters bound; and the register file
+//!    never holds a list whose length the source controls (call and
+//!    `printf` arguments, long declarators) — those go through the
+//!    argument stack.
 
-use crate::interp::{as_for, atomic_target_var, for_header_mentions};
+use crate::interp::{arity_error, as_for, atomic_target_var, builtin_arity, for_header_mentions};
 use crate::ir::*;
 use crate::value::Value;
+use crate::RtError;
 use minic::ast::*;
 use minic::pragma::*;
 use minic::printer::print_expr;
 use std::collections::HashMap;
-
-/// Why lowering rejected a kernel (the caller falls back to the
-/// interpreter).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LowerError(pub String);
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lowering rejected: {}", self.0)
-    }
-}
-
-impl std::error::Error for LowerError {}
-
-type LResult<T> = Result<T, LowerError>;
-
-fn reject<T>(msg: impl Into<String>) -> LResult<T> {
-    Err(LowerError(msg.into()))
-}
 
 /// Constant-pool dedup key (`f64` interned by bit pattern).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,6 +71,20 @@ enum Fix {
     DirCont,
 }
 
+/// How a compiled function body binds its parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Params {
+    /// The first `k` parameters, as scalars (a call binds as many
+    /// parameters as it passes arguments, up to the declared count).
+    Scalars(usize),
+    /// Every parameter as a 64-cell buffer (library-mode entry).
+    Buffers,
+}
+
+/// Most declarator extents evaluated into registers; longer declarators
+/// pass their extents on the argument stack.
+const REG_DIMS: usize = u8::MAX as usize;
+
 struct Lowerer<'a> {
     instrs: Vec<Instr>,
     costs: Vec<u32>,
@@ -97,13 +97,23 @@ struct Lowerer<'a> {
     name_map: HashMap<String, u32>,
     dirs: Vec<DirIr>,
     ws: Vec<WsIr>,
+    sections: Vec<SectionsIr>,
+    errors: Vec<RtError>,
+    locs: Vec<(u32, minic::Pos)>,
+    defs: Vec<&'a FuncDef>,
     func_idx: HashMap<&'a str, u32>,
-    param_counts: Vec<usize>,
+    /// Compiled function index per (definition, parameter binding).
+    variants: HashMap<(u32, Params), u32>,
+    /// Variants requested but not yet compiled, in index order.
+    queued: Vec<(u32, Params)>,
     funcs: Vec<FuncIr>,
+    /// Every name any `threadprivate` directive lists, first use first.
+    tp_names: Vec<&'a str>,
     labels: Vec<u32>,
     fixups: Vec<(u32, Fix, u32)>,
     globals: HashMap<&'a str, ScopeInfo>,
     next_global: u32,
+    global_names: Vec<u32>,
     // Current-function frame state.
     scopes: Vec<HashMap<&'a str, ScopeInfo>>,
     next_slot: u32,
@@ -126,13 +136,20 @@ impl<'a> Lowerer<'a> {
             name_map: HashMap::new(),
             dirs: Vec::new(),
             ws: Vec::new(),
+            sections: Vec::new(),
+            errors: Vec::new(),
+            locs: Vec::new(),
+            defs: Vec::new(),
             func_idx: HashMap::new(),
-            param_counts: Vec::new(),
+            variants: HashMap::new(),
+            queued: Vec::new(),
             funcs: Vec::new(),
+            tp_names: Vec::new(),
             labels: Vec::new(),
             fixups: Vec::new(),
             globals: HashMap::new(),
             next_global: 0,
+            global_names: Vec::new(),
             scopes: Vec::new(),
             next_slot: 0,
             next_reg: 0,
@@ -155,6 +172,20 @@ impl<'a> Lowerer<'a> {
         self.instrs.push(i);
         self.costs.push(self.pending);
         self.pending = 0;
+    }
+
+    /// Fail the run here with the interpreter's error.
+    fn trap(&mut self, err: RtError) {
+        let id = self.errors.len() as u32;
+        self.errors.push(err);
+        self.emit(Instr::Trap { err: id });
+    }
+
+    /// Record a name and position quoted by an address error.
+    fn loc(&mut self, name: &str, pos: minic::Pos) -> u32 {
+        let name = self.name_idx(name);
+        self.locs.push((name, pos));
+        (self.locs.len() - 1) as u32
     }
 
     fn new_label(&mut self) -> u32 {
@@ -202,16 +233,21 @@ impl<'a> Lowerer<'a> {
 
     /// Lower a helper code range: loop context and pending charges do
     /// not leak across the range boundary in either direction.
-    fn range(&mut self, f: impl FnOnce(&mut Self) -> LResult<()>) -> LResult<CodeRange> {
+    fn range(&mut self, f: impl FnOnce(&mut Self)) -> CodeRange {
         let saved_loops = std::mem::take(&mut self.loops);
         let saved_pending = std::mem::take(&mut self.pending);
         let start = self.instrs.len() as u32;
-        f(self)?;
+        f(self);
         self.emit(Instr::End);
         let end = self.instrs.len() as u32;
         self.loops = saved_loops;
         self.pending = saved_pending;
-        Ok(CodeRange { start, end })
+        CodeRange { start, end }
+    }
+
+    /// A range holding one statement.
+    fn stmt_range(&mut self, s: &'a Stmt) -> CodeRange {
+        self.range(|me| me.lower_stmt(s))
     }
 
     // ---------------------------------------------------------------
@@ -271,42 +307,34 @@ impl<'a> Lowerer<'a> {
     // Registers, slots, scopes
     // ---------------------------------------------------------------
 
-    fn alloc_reg(&mut self) -> LResult<u16> {
+    /// Reserve `n` consecutive registers. Live registers are bounded by
+    /// the parser's nesting budget (source-sized lists never occupy the
+    /// register file), so the window cannot overflow `u16`.
+    fn alloc_regs(&mut self, n: usize) -> u16 {
         let r = self.next_reg;
-        if r == u16::MAX {
-            return reject("register pressure exceeds u16");
-        }
-        self.next_reg += 1;
+        self.next_reg = u16::try_from(usize::from(r) + n).expect("register window fits u16");
         self.max_reg = self.max_reg.max(self.next_reg);
-        Ok(r)
+        r
     }
 
-    fn alloc_regs(&mut self, n: usize) -> LResult<u16> {
-        let r = self.next_reg;
-        if usize::from(r) + n > usize::from(u16::MAX) {
-            return reject("register pressure exceeds u16");
-        }
-        self.next_reg += n as u16;
-        self.max_reg = self.max_reg.max(self.next_reg);
-        Ok(r)
+    fn alloc_reg(&mut self) -> u16 {
+        self.alloc_regs(1)
     }
 
-    fn alloc_slot(&mut self) -> LResult<u32> {
+    fn alloc_slot(&mut self) -> u32 {
         let s = self.next_slot;
-        if s >= GLOBAL_BIT {
-            return reject("slot count exceeds GLOBAL_BIT");
-        }
+        assert!(s < GLOBAL_BIT, "slot ids fit below GLOBAL_BIT");
         self.next_slot += 1;
-        Ok(s)
+        s
     }
 
-    fn alloc_global(&mut self) -> LResult<u32> {
+    fn alloc_global(&mut self, name: &str) -> u32 {
         let s = self.next_global;
-        if s >= GLOBAL_BIT {
-            return reject("global count exceeds GLOBAL_BIT");
-        }
+        assert!(s < GLOBAL_BIT, "global ids fit below GLOBAL_BIT");
         self.next_global += 1;
-        Ok(s | GLOBAL_BIT)
+        let name = self.name_idx(name);
+        self.global_names.push(name);
+        s | GLOBAL_BIT
     }
 
     fn bind_name(&mut self, name: &'a str, info: ScopeInfo) {
@@ -319,17 +347,7 @@ impl<'a> Lowerer<'a> {
     /// The interpreter's `lookup`: innermost function scope outward,
     /// then globals.
     fn lookup(&self, name: &str) -> Option<ScopeInfo> {
-        for s in self.scopes.iter().rev() {
-            if let Some(i) = s.get(name) {
-                return Some(*i);
-            }
-        }
-        self.globals.get(name).copied()
-    }
-
-    fn lookup_or_reject(&self, name: &str) -> LResult<ScopeInfo> {
-        self.lookup(name)
-            .ok_or_else(|| LowerError(format!("unresolvable name `{name}`")))
+        self.frame_binding(name).or_else(|| self.globals.get(name).copied())
     }
 
     /// The interpreter's `outer_binding`: skip the innermost occurrence
@@ -371,79 +389,92 @@ impl<'a> Lowerer<'a> {
         None
     }
 
+    /// The compiled function for `def` with `params` bound, queued for
+    /// compilation on first request.
+    fn variant(&mut self, def: u32, params: Params) -> u32 {
+        if let Some(&f) = self.variants.get(&(def, params)) {
+            return f;
+        }
+        let f = (self.defs.len() + self.queued.len()) as u32;
+        self.variants.insert((def, params), f);
+        self.queued.push((def, params));
+        f
+    }
+
     // ---------------------------------------------------------------
     // Unit entry
     // ---------------------------------------------------------------
 
-    fn lower_unit(mut self, unit: &'a TranslationUnit) -> LResult<Program> {
+    fn lower_unit(mut self, unit: &'a TranslationUnit) -> Program {
         // Pass 1: function table (the interpreter's HashMap insert —
-        // later definitions of the same name win) + whole-unit rejects.
-        let mut defs: Vec<&'a FuncDef> = Vec::new();
+        // later definitions of the same name win) and every name a
+        // `threadprivate` directive can add.
+        let mut first_defined: Vec<&'a str> = Vec::new();
+        let mut threadprivate = Vec::new();
         for item in &unit.items {
             match item {
                 Item::Func(f) => {
-                    self.func_idx.insert(f.name.as_str(), defs.len() as u32);
-                    self.param_counts.push(f.params.len());
-                    defs.push(f);
+                    let def = self.defs.len() as u32;
+                    if self.func_idx.insert(f.name.as_str(), def).is_none() {
+                        first_defined.push(f.name.as_str());
+                    }
+                    let full = Params::Scalars(f.params.len());
+                    self.variants.insert((def, full), def);
+                    self.defs.push(f);
+                    for st in &f.body.stmts {
+                        collect_threadprivate(st, &mut self.tp_names);
+                    }
                 }
                 Item::Pragma(d) => {
-                    if matches!(d.kind, DirectiveKind::Threadprivate(_)) {
-                        return reject("threadprivate");
+                    if let DirectiveKind::Threadprivate(vars) = &d.kind {
+                        for v in vars {
+                            threadprivate.push(self.name_idx(v));
+                            if !self.tp_names.contains(&v.as_str()) {
+                                self.tp_names.push(v.as_str());
+                            }
+                        }
                     }
                 }
                 Item::Global(_) => {}
             }
         }
-        let Some(&main) = self.func_idx.get("main") else {
-            return reject("library-mode kernel (no main)");
-        };
 
         // Globals, run once before main.
-        self.next_reg = 0;
-        self.max_reg = 0;
         let global_init = self.range(|me| {
             for item in &unit.items {
                 if let Item::Global(d) = item {
-                    me.lower_decl(d, true)?;
+                    me.lower_decl(d, true);
                 }
             }
-            Ok(())
-        })?;
+        });
         let global_regs = self.max_reg;
 
-        // Pass 2: lower every function body.
-        for f in &defs {
-            let n_params = f.params.len();
-            if n_params > u16::MAX as usize {
-                return reject("too many parameters");
-            }
-            self.scopes = vec![HashMap::new()];
-            self.next_slot = 0;
-            self.next_reg = 0;
-            self.max_reg = 0;
-            self.loops.clear();
-            for p in &f.params {
-                let slot = self.alloc_slot()?;
-                self.bind_name(p.name.as_str(), ScopeInfo { slot, array: false });
-            }
-            let entry = self.range(|me| me.lower_block(&f.body))?;
-            self.funcs.push(FuncIr {
-                name: f.name.clone(),
-                entry,
-                n_regs: self.max_reg,
-                n_slots: self.next_slot,
-                n_params: n_params as u16,
-            });
-            self.scopes.clear();
+        // Pass 2: every definition with all its parameters bound, in
+        // definition order; then the entry points and the variants
+        // calls asked for.
+        for def in 0..self.defs.len() as u32 {
+            let f = self.lower_func(def, Params::Scalars(self.defs[def as usize].params.len()));
+            self.funcs.push(f);
+        }
+        let main = self.func_idx.get("main").copied();
+        let library = match main {
+            Some(_) => Vec::new(),
+            None => first_defined
+                .iter()
+                .map(|name| self.variant(self.func_idx[name], Params::Buffers))
+                .collect(),
+        };
+        while self.funcs.len() < self.defs.len() + self.queued.len() {
+            let (def, params) = self.queued[self.funcs.len() - self.defs.len()];
+            let f = self.lower_func(def, params);
+            self.funcs.push(f);
         }
 
         // Patch jump targets.
         let mut instrs = self.instrs;
         for (pc, fix, l) in &self.fixups {
             let target = self.labels[*l as usize];
-            if target == u32::MAX {
-                return reject("internal: unresolved label");
-            }
+            assert_ne!(target, u32::MAX, "every label is bound");
             match (&mut instrs[*pc as usize], fix) {
                 (Instr::Jmp { to }, Fix::To)
                 | (Instr::Jz { to, .. }, Fix::To)
@@ -451,14 +482,11 @@ impl<'a> Lowerer<'a> {
                 | (Instr::ListGuard { to, .. }, Fix::To) => *to = target,
                 (Instr::Dir { brk, .. }, Fix::DirBrk) => *brk = target,
                 (Instr::Dir { cont, .. }, Fix::DirCont) => *cont = target,
-                _ => return reject("internal: fixup target mismatch"),
+                _ => unreachable!("fixups only patch jumps and directives"),
             }
         }
-        if instrs.len() >= u32::MAX as usize {
-            return reject("program too large");
-        }
 
-        Ok(Program {
+        Program {
             instrs,
             costs: self.costs,
             consts: self.consts,
@@ -466,12 +494,73 @@ impl<'a> Lowerer<'a> {
             names: self.names,
             dirs: self.dirs,
             ws: self.ws,
+            sections: self.sections,
             funcs: self.funcs,
             main,
+            library,
+            threadprivate,
+            errors: self.errors,
+            locs: self.locs,
             global_init,
-            n_globals: self.next_global,
+            global_names: self.global_names,
             global_regs,
-        })
+        }
+    }
+
+    /// Compile one definition's body with `params` bound.
+    fn lower_func(&mut self, def: u32, params: Params) -> FuncIr {
+        let f = self.defs[def as usize];
+        self.scopes = vec![HashMap::new()];
+        self.next_slot = 0;
+        self.next_reg = 0;
+        self.max_reg = 0;
+        self.loops.clear();
+        let (bound, array) = match params {
+            Params::Scalars(k) => (k, false),
+            Params::Buffers => (f.params.len(), true),
+        };
+        for p in &f.params[..bound] {
+            let slot = self.alloc_slot();
+            self.bind_name(p.name.as_str(), ScopeInfo { slot, array });
+        }
+        let entry = self.range(|me| me.lower_block(&f.body));
+        self.scopes.clear();
+        FuncIr {
+            name: f.name.clone(),
+            entry,
+            n_regs: self.max_reg,
+            n_slots: self.next_slot,
+            n_params: bound as u32,
+        }
+    }
+}
+
+/// Append every name a statement-level `threadprivate` directive in `s`
+/// lists.
+fn collect_threadprivate<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
+    match s {
+        Stmt::Block(b) => b.stmts.iter().for_each(|s| collect_threadprivate(s, out)),
+        Stmt::If { then, els, .. } => {
+            collect_threadprivate(then, out);
+            if let Some(e) = els {
+                collect_threadprivate(e, out);
+            }
+        }
+        Stmt::For(f) => collect_threadprivate(&f.body, out),
+        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => collect_threadprivate(body, out),
+        Stmt::Omp { dir, body, .. } => {
+            if let DirectiveKind::Threadprivate(vars) = &dir.kind {
+                for v in vars {
+                    if !out.contains(&v.as_str()) {
+                        out.push(v.as_str());
+                    }
+                }
+            }
+            if let Some(b) = body {
+                collect_threadprivate(b, out);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -481,15 +570,28 @@ impl<'a> Lowerer<'a> {
 
 impl<'a> Lowerer<'a> {
     /// Lower `e` into a fresh register.
-    fn expr(&mut self, e: &'a Expr) -> LResult<u16> {
-        let dst = self.alloc_reg()?;
-        self.expr_into(e, dst)?;
-        Ok(dst)
+    fn expr(&mut self, e: &'a Expr) -> u16 {
+        let dst = self.alloc_reg();
+        self.expr_into(e, dst);
+        dst
+    }
+
+    /// Lower `e` for its effects only, into a register released at once.
+    fn expr_for_effect(&mut self, e: &'a Expr) {
+        let t = self.expr(e);
+        self.next_reg = t;
+    }
+
+    /// Lower `e` and push its value onto the argument stack.
+    fn push_arg(&mut self, e: &'a Expr) {
+        let t = self.expr(e);
+        self.emit(Instr::Arg { src: t });
+        self.next_reg = t;
     }
 
     /// Lower `e` so its value ends in `dst`. Charges the `eval()` entry
     /// spend; temporaries are released before returning.
-    fn expr_into(&mut self, e: &'a Expr, dst: u16) -> LResult<()> {
+    fn expr_into(&mut self, e: &'a Expr, dst: u16) {
         let mark = self.next_reg;
         self.charge(1);
         match e {
@@ -497,44 +599,43 @@ impl<'a> Lowerer<'a> {
             Expr::FloatLit { value, .. } => self.load_const(dst, Value::Float(*value)),
             Expr::CharLit { value, .. } => self.load_const(dst, Value::Int(*value as i64)),
             Expr::StrLit { .. } => self.load_const(dst, Value::Ptr(0)),
-            Expr::Ident { name, .. } => {
-                let info = self.lookup_or_reject(name)?;
-                if info.array {
-                    // Array decays to pointer; not a memory access.
-                    self.emit(Instr::SlotAddr { dst, slot: info.slot });
-                } else {
+            Expr::Ident { name, .. } => match self.lookup(name) {
+                // Array decays to pointer; not a memory access.
+                Some(info) if info.array => self.emit(Instr::SlotAddr { dst, slot: info.slot }),
+                Some(info) => {
                     let site = self.site(e, false);
                     self.emit(Instr::LoadScalar { dst, slot: info.slot, site });
                 }
-            }
+                None => self.trap(RtError::Unknown(name.clone())),
+            },
             Expr::Index { .. } => {
                 let site = self.site(e, false);
-                match self.lower_lvalue(e)? {
+                match self.lower_lvalue(e) {
                     Place::Slot(slot) => self.emit(Instr::LoadScalar { dst, slot, site }),
                     Place::Addr(ptr) => self.emit(Instr::LoadInd { dst, ptr, site }),
                 }
             }
             Expr::Unary { op, expr, .. } => match op {
                 UnOp::Neg => {
-                    self.expr_into(expr, dst)?;
+                    self.expr_into(expr, dst);
                     self.emit(Instr::Un { op: ArithUn::Neg, dst, src: dst });
                 }
                 UnOp::Not => {
-                    self.expr_into(expr, dst)?;
+                    self.expr_into(expr, dst);
                     self.emit(Instr::Un { op: ArithUn::Not, dst, src: dst });
                 }
                 UnOp::BitNot => {
-                    self.expr_into(expr, dst)?;
+                    self.expr_into(expr, dst);
                     self.emit(Instr::Un { op: ArithUn::BitNot, dst, src: dst });
                 }
                 UnOp::Deref => {
                     let site = self.site(e, false);
-                    match self.lower_lvalue(e)? {
+                    match self.lower_lvalue(e) {
                         Place::Slot(slot) => self.emit(Instr::LoadScalar { dst, slot, site }),
                         Place::Addr(ptr) => self.emit(Instr::LoadInd { dst, ptr, site }),
                     }
                 }
-                UnOp::AddrOf => match self.lower_lvalue(expr)? {
+                UnOp::AddrOf => match self.lower_lvalue(expr) {
                     Place::Slot(slot) => self.emit(Instr::SlotAddr { dst, slot }),
                     Place::Addr(p) => self.emit(Instr::ToAddr { dst, src: p }),
                 },
@@ -543,9 +644,9 @@ impl<'a> Lowerer<'a> {
                 BinOp::And => {
                     let l_false = self.new_label();
                     let l_end = self.new_label();
-                    self.expr_into(lhs, dst)?;
+                    self.expr_into(lhs, dst);
                     self.jz(dst, l_false);
-                    self.expr_into(rhs, dst)?;
+                    self.expr_into(rhs, dst);
                     self.emit(Instr::Bool { dst, src: dst });
                     self.jmp(l_end);
                     self.bind(l_false);
@@ -555,9 +656,9 @@ impl<'a> Lowerer<'a> {
                 BinOp::Or => {
                     let l_true = self.new_label();
                     let l_end = self.new_label();
-                    self.expr_into(lhs, dst)?;
+                    self.expr_into(lhs, dst);
                     self.jnz(dst, l_true);
-                    self.expr_into(rhs, dst)?;
+                    self.expr_into(rhs, dst);
                     self.emit(Instr::Bool { dst, src: dst });
                     self.jmp(l_end);
                     self.bind(l_true);
@@ -565,19 +666,19 @@ impl<'a> Lowerer<'a> {
                     self.bind(l_end);
                 }
                 _ => {
-                    self.expr_into(lhs, dst)?;
-                    let b = self.alloc_reg()?;
-                    self.expr_into(rhs, b)?;
+                    self.expr_into(lhs, dst);
+                    let b = self.alloc_reg();
+                    self.expr_into(rhs, b);
                     self.emit(Instr::Bin { op: *op, dst, a: dst, b });
                 }
             },
             Expr::Assign { op, lhs, rhs, .. } => {
                 // rhs first, then lvalue resolution (interpreter order).
-                self.expr_into(rhs, dst)?;
-                let place = self.lower_lvalue(lhs)?;
+                self.expr_into(rhs, dst);
+                let place = self.lower_lvalue(lhs);
                 if let Some(b) = op.bin_op() {
                     let site_r = self.site(lhs, false);
-                    let old = self.alloc_reg()?;
+                    let old = self.alloc_reg();
                     match &place {
                         Place::Slot(slot) => {
                             self.emit(Instr::LoadScalar { dst: old, slot: *slot, site: site_r })
@@ -590,16 +691,18 @@ impl<'a> Lowerer<'a> {
                 }
                 let site_w = self.site(lhs, true);
                 match place {
-                    Place::Slot(slot) => self.emit(Instr::StoreScalar { src: dst, slot, site: site_w }),
+                    Place::Slot(slot) => {
+                        self.emit(Instr::StoreScalar { src: dst, slot, site: site_w })
+                    }
                     Place::Addr(ptr) => self.emit(Instr::StoreInd { src: dst, ptr, site: site_w }),
                 }
             }
             Expr::IncDec { inc, prefix, expr, .. } => {
                 let site_r = self.site(expr, false);
                 let site_w = self.site(expr, true);
-                let ptr = match self.lower_lvalue(expr)? {
+                let ptr = match self.lower_lvalue(expr) {
                     Place::Slot(slot) => {
-                        let p = self.alloc_reg()?;
+                        let p = self.alloc_reg();
                         self.emit(Instr::SlotAddr { dst: p, slot });
                         p
                     }
@@ -610,33 +713,34 @@ impl<'a> Lowerer<'a> {
             Expr::Cond { cond, then, els, .. } => {
                 let l_else = self.new_label();
                 let l_end = self.new_label();
-                let c = self.alloc_reg()?;
-                self.expr_into(cond, c)?;
+                let c = self.alloc_reg();
+                self.expr_into(cond, c);
                 self.jz(c, l_else);
-                self.expr_into(then, dst)?;
+                self.expr_into(then, dst);
                 self.jmp(l_end);
                 self.bind(l_else);
-                self.expr_into(els, dst)?;
+                self.expr_into(els, dst);
                 self.bind(l_end);
             }
             Expr::Cast { ty, expr, .. } => {
-                self.expr_into(expr, dst)?;
+                self.expr_into(expr, dst);
                 self.emit(Instr::CoerceV { dst, src: dst, base: ty.base, ptr: ty.pointers > 0 });
             }
-            Expr::Call { callee, args, .. } => self.lower_call(callee, args, dst)?,
+            Expr::Call { callee, args, .. } => self.lower_call(callee, args, dst),
         }
         self.next_reg = mark;
-        Ok(())
     }
 
     /// Resolve an lvalue, mirroring the interpreter's `resolve_lvalue`
-    /// (no fuel of its own; subscript evaluations charge inside).
-    fn lower_lvalue(&mut self, e: &'a Expr) -> LResult<Place> {
+    /// (no fuel of its own; subscript evaluations charge inside). A
+    /// shape the interpreter cannot resolve traps and yields a register
+    /// the trap keeps from ever being read.
+    fn lower_lvalue(&mut self, e: &'a Expr) -> Place {
         match e {
-            Expr::Ident { name, .. } => {
-                let info = self.lookup_or_reject(name)?;
-                Ok(Place::Slot(info.slot))
-            }
+            Expr::Ident { name, .. } => match self.lookup(name) {
+                Some(info) => Place::Slot(info.slot),
+                None => self.fail_lvalue(RtError::Unknown(name.clone())),
+            },
             Expr::Index { .. } => {
                 // Unwind the index chain.
                 let mut idxs = Vec::new();
@@ -646,201 +750,174 @@ impl<'a> Lowerer<'a> {
                     cur = base;
                 }
                 idxs.reverse();
-                if idxs.len() > MAX_INDEX_CHAIN {
-                    return reject("index chain deeper than 4");
-                }
                 match cur {
-                    Expr::Ident { name, .. } => {
-                        let info = self.lookup_or_reject(name)?;
+                    Expr::Ident { name, span } => {
+                        let Some(info) = self.lookup(name) else {
+                            return self.fail_lvalue(RtError::Unknown(name.clone()));
+                        };
                         if info.array {
-                            let idx0 = self.alloc_regs(idxs.len())?;
+                            let idx0 = self.alloc_regs(idxs.len());
                             for (k, idx) in idxs.iter().enumerate() {
-                                self.expr_into(idx, idx0 + k as u16)?;
+                                self.expr_into(idx, idx0 + k as u16);
                             }
-                            let dst = self.alloc_reg()?;
+                            let dst = self.alloc_reg();
+                            let at = self.loc(name, span.pos);
                             self.emit(Instr::IndexAddr {
                                 dst,
                                 slot: info.slot,
                                 idx0,
-                                n: idxs.len() as u8,
+                                n: idxs.len() as u16,
+                                at,
                             });
-                            Ok(Place::Addr(dst))
+                            Place::Addr(dst)
                         } else {
                             // Pointer variable: read it, then offset.
                             let site = self.site(cur, false);
-                            let pv = self.alloc_reg()?;
+                            let pv = self.alloc_reg();
                             self.emit(Instr::LoadScalar { dst: pv, slot: info.slot, site });
-                            let dst = self.alloc_reg()?;
+                            let dst = self.alloc_reg();
                             self.emit(Instr::ToAddr { dst, src: pv });
                             for idx in &idxs {
-                                let off = self.alloc_reg()?;
-                                self.expr_into(idx, off)?;
+                                let off = self.alloc_reg();
+                                self.expr_into(idx, off);
                                 self.emit(Instr::AddOff { dst, base: dst, off });
                             }
-                            self.emit(Instr::CheckAddr { src: dst });
-                            Ok(Place::Addr(dst))
+                            let at = self.loc(name, span.pos);
+                            self.emit(Instr::CheckAddr { src: dst, at });
+                            Place::Addr(dst)
                         }
                     }
                     other => {
                         // e.g. (p + 1)[i]: evaluate base as pointer value.
-                        let dst = self.alloc_reg()?;
-                        self.expr_into(other, dst)?;
-                        self.emit(Instr::AssertPtr { src: dst });
+                        let dst = self.alloc_reg();
+                        self.expr_into(other, dst);
+                        let at = self.loc("", other.span().pos);
+                        self.emit(Instr::AssertPtr { src: dst, at });
                         for idx in &idxs {
-                            let off = self.alloc_reg()?;
-                            self.expr_into(idx, off)?;
+                            let off = self.alloc_reg();
+                            self.expr_into(idx, off);
                             self.emit(Instr::AddOff { dst, base: dst, off });
                         }
-                        Ok(Place::Addr(dst))
+                        Place::Addr(dst)
                     }
                 }
             }
             Expr::Unary { op: UnOp::Deref, expr, .. } => {
-                let dst = self.alloc_reg()?;
-                self.expr_into(expr, dst)?;
-                self.emit(Instr::AssertPtr { src: dst });
-                self.emit(Instr::CheckAddr { src: dst });
-                Ok(Place::Addr(dst))
+                let dst = self.alloc_reg();
+                self.expr_into(expr, dst);
+                self.emit(Instr::AssertPtr { src: dst, at: DEREF });
+                self.emit(Instr::CheckAddr { src: dst, at: DEREF });
+                Place::Addr(dst)
             }
             Expr::Cast { expr, .. } => self.lower_lvalue(expr),
-            other => reject(format!("unsupported lvalue shape `{}`", print_expr(other))),
+            other => self.fail_lvalue(RtError::Unsupported(format!(
+                "lvalue {} at {}",
+                print_expr(other),
+                other.span().pos
+            ))),
         }
     }
 
-    fn lower_call(&mut self, callee: &'a str, args: &'a [Expr], dst: u16) -> LResult<()> {
-        // Argument-arity guards: the interpreter indexes `args[0]` /
-        // `args[1]` unchecked for these builtins — a kernel that would
-        // panic there is rejected so the caller reports a clean
-        // fallback instead (the latent-panic fix).
-        let need = |n: usize| -> LResult<()> {
-            if args.len() < n {
-                reject(format!("builtin `{callee}` needs {n} argument(s), got {}", args.len()))
-            } else {
-                Ok(())
-            }
-        };
+    fn fail_lvalue(&mut self, err: RtError) -> Place {
+        self.trap(err);
+        Place::Addr(self.alloc_reg())
+    }
+
+    fn lower_call(&mut self, callee: &'a str, args: &'a [Expr], dst: u16) {
+        if let Some(need) = builtin_arity(callee).filter(|&n| args.len() < n) {
+            return self.trap(arity_error(callee, need, args.len()));
+        }
         match callee {
             "omp_get_thread_num" => self.emit(Instr::GetTid { dst }),
             "omp_get_num_threads" => self.emit(Instr::GetNumThreads { dst }),
             "omp_get_max_threads" => self.emit(Instr::GetMaxThreads { dst }),
-            "omp_set_num_threads" => {
-                need(1)?;
-                self.expr(&args[0])?;
+            "omp_set_num_threads" | "free" | "assert" | "srand" => {
+                self.expr(&args[0]);
                 self.load_const(dst, Value::Int(0));
             }
             "omp_get_wtime" => self.load_const(dst, Value::Float(0.0)),
-            "omp_init_lock" | "omp_destroy_lock" | "omp_init_nest_lock"
+            "omp_init_lock"
+            | "omp_destroy_lock"
+            | "omp_init_nest_lock"
             | "omp_destroy_nest_lock" => self.load_const(dst, Value::Int(0)),
             "omp_set_lock" | "omp_set_nest_lock" => {
-                need(1)?;
-                let h = self.expr(&args[0])?;
+                let h = self.expr(&args[0]);
                 self.emit(Instr::LockAcq { src: h });
                 self.load_const(dst, Value::Int(0));
             }
             "omp_unset_lock" | "omp_unset_nest_lock" => {
-                need(1)?;
-                let h = self.expr(&args[0])?;
+                let h = self.expr(&args[0]);
                 self.emit(Instr::LockRel { src: h });
                 self.load_const(dst, Value::Int(0));
             }
             "omp_test_lock" => {
-                need(1)?;
-                let h = self.expr(&args[0])?;
+                let h = self.expr(&args[0]);
                 self.emit(Instr::LockAcq { src: h });
                 self.load_const(dst, Value::Int(1));
             }
             "printf" => {
-                let n = args.len().saturating_sub(1);
-                let args0 = self.alloc_regs(n)?;
-                for (k, a) in args.iter().skip(1).enumerate() {
-                    self.expr_into(a, args0 + k as u16)?;
+                for a in args.iter().skip(1) {
+                    self.push_arg(a);
                 }
-                self.emit(Instr::Printf { args0, n: n as u16 });
+                self.emit(Instr::Printf { n: args.len().saturating_sub(1) as u32 });
                 self.load_const(dst, Value::Int(0));
             }
             "malloc" => {
-                need(1)?;
-                let bytes = self.expr(&args[0])?;
+                let bytes = self.expr(&args[0]);
                 self.emit(Instr::Malloc { dst, bytes });
             }
             "calloc" => {
-                need(2)?;
-                let bytes = self.expr(&args[0])?;
-                let sz = self.expr(&args[1])?;
+                let bytes = self.expr(&args[0]);
+                let sz = self.expr(&args[1]);
                 self.emit(Instr::Calloc { dst, bytes, sz });
             }
-            "free" | "assert" | "srand" => {
-                need(1)?;
-                self.expr(&args[0])?;
-                self.load_const(dst, Value::Int(0));
-            }
-            "fabs" | "fabsf" => self.math1(MathFn::Fabs, args, dst)?,
-            "sqrt" | "sqrtf" => self.math1(MathFn::Sqrt, args, dst)?,
-            "sin" => self.math1(MathFn::Sin, args, dst)?,
-            "cos" => self.math1(MathFn::Cos, args, dst)?,
-            "exp" => self.math1(MathFn::Exp, args, dst)?,
-            "log" => self.math1(MathFn::Log, args, dst)?,
-            "abs" => self.math1(MathFn::AbsInt, args, dst)?,
-            "pow" => self.math2(MathFn::Pow, args, dst)?,
-            "fmax" => self.math2(MathFn::Fmax, args, dst)?,
-            "fmin" => self.math2(MathFn::Fmin, args, dst)?,
+            "fabs" | "fabsf" => self.math1(MathFn::Fabs, args, dst),
+            "sqrt" | "sqrtf" => self.math1(MathFn::Sqrt, args, dst),
+            "sin" => self.math1(MathFn::Sin, args, dst),
+            "cos" => self.math1(MathFn::Cos, args, dst),
+            "exp" => self.math1(MathFn::Exp, args, dst),
+            "log" => self.math1(MathFn::Log, args, dst),
+            "abs" => self.math1(MathFn::AbsInt, args, dst),
+            "pow" => self.math2(MathFn::Pow, args, dst),
+            "fmax" => self.math2(MathFn::Fmax, args, dst),
+            "fmin" => self.math2(MathFn::Fmin, args, dst),
             "exit" => {
-                need(1)?;
-                self.expr(&args[0])?;
-                self.emit(Instr::Trap);
+                self.expr(&args[0]);
+                self.trap(RtError::Unsupported("exit() called".into()));
             }
             "rand" => self.load_const(dst, Value::Int(42)),
-            _ => {
-                if let Some(&func) = self.func_idx.get(callee) {
-                    // User function: exactly `params.len()` args are
-                    // evaluated (the interpreter zips params with args);
-                    // fewer args than params would leave them unbound.
-                    let f = func;
-                    let n_params = self.funcs_params(f);
-                    if args.len() < n_params {
-                        return reject(format!(
-                            "call `{callee}` with {} args for {n_params} params",
-                            args.len()
-                        ));
+            _ => match self.func_idx.get(callee) {
+                Some(&def) => {
+                    // The interpreter zips parameters with arguments:
+                    // extra arguments are never evaluated, and a short
+                    // call leaves the trailing parameters unbound.
+                    let n = args.len().min(self.defs[def as usize].params.len());
+                    let func = self.variant(def, Params::Scalars(n));
+                    for a in &args[..n] {
+                        self.push_arg(a);
                     }
-                    let args0 = self.alloc_regs(n_params)?;
-                    for (k, a) in args.iter().take(n_params).enumerate() {
-                        self.expr_into(a, args0 + k as u16)?;
-                    }
-                    self.emit(Instr::CallUser { dst, func: f, args0, n_args: n_params as u16 });
-                } else {
+                    self.emit(Instr::CallUser { dst, func, n_args: n as u32 });
+                }
+                None => {
                     // Unknown extern: evaluate args for effects, return 0.
                     for a in args {
-                        self.expr(a)?;
+                        self.expr_for_effect(a);
                     }
                     self.load_const(dst, Value::Int(0));
                 }
-            }
+            },
         }
-        Ok(())
     }
 
-    fn math1(&mut self, f: MathFn, args: &'a [Expr], dst: u16) -> LResult<()> {
-        if args.is_empty() {
-            return reject("math builtin needs 1 argument");
-        }
-        let src = self.expr(&args[0])?;
+    fn math1(&mut self, f: MathFn, args: &'a [Expr], dst: u16) {
+        let src = self.expr(&args[0]);
         self.emit(Instr::Math1 { f, dst, src });
-        Ok(())
     }
 
-    fn math2(&mut self, f: MathFn, args: &'a [Expr], dst: u16) -> LResult<()> {
-        if args.len() < 2 {
-            return reject("math builtin needs 2 arguments");
-        }
-        let a = self.expr(&args[0])?;
-        let b = self.expr(&args[1])?;
+    fn math2(&mut self, f: MathFn, args: &'a [Expr], dst: u16) {
+        let a = self.expr(&args[0]);
+        let b = self.expr(&args[1]);
         self.emit(Instr::Math2 { f, dst, a, b });
-        Ok(())
-    }
-
-    fn funcs_params(&self, func: u32) -> usize {
-        self.param_counts[func as usize]
     }
 }
 
@@ -849,52 +926,53 @@ impl<'a> Lowerer<'a> {
 // -------------------------------------------------------------------
 
 impl<'a> Lowerer<'a> {
-    fn lower_block(&mut self, b: &'a Block) -> LResult<()> {
+    fn lower_block(&mut self, b: &'a Block) {
         self.scopes.push(HashMap::new());
-        let r = b.stmts.iter().try_for_each(|s| self.lower_stmt(s));
+        for s in &b.stmts {
+            self.lower_stmt(s);
+        }
         self.scopes.pop();
-        r
     }
 
     /// Lower a statement, charging its `exec_stmt()` entry spend.
-    fn lower_stmt(&mut self, s: &'a Stmt) -> LResult<()> {
+    fn lower_stmt(&mut self, s: &'a Stmt) {
         let mark = self.next_reg;
         self.charge(1);
         match s {
-            Stmt::Decl(d) => self.lower_decl(d, false)?,
+            Stmt::Decl(d) => self.lower_decl(d, false),
             Stmt::Expr(e) => {
-                self.expr(e)?;
+                self.expr(e);
             }
             Stmt::Empty(_) => {}
-            Stmt::Block(b) => self.lower_block(b)?,
+            Stmt::Block(b) => self.lower_block(b),
             Stmt::If { cond, then, els, .. } => {
                 let l_end = self.new_label();
-                let c = self.expr(cond)?;
+                let c = self.expr(cond);
                 match els {
                     Some(e) => {
                         let l_else = self.new_label();
                         self.jz(c, l_else);
-                        self.lower_stmt(then)?;
+                        self.lower_stmt(then);
                         self.jmp(l_end);
                         self.bind(l_else);
-                        self.lower_stmt(e)?;
+                        self.lower_stmt(e);
                     }
                     None => {
                         self.jz(c, l_end);
-                        self.lower_stmt(then)?;
+                        self.lower_stmt(then);
                     }
                 }
                 self.bind(l_end);
             }
-            Stmt::For(f) => self.lower_for_inner(f)?,
+            Stmt::For(f) => self.lower_for_inner(f),
             Stmt::While { cond, body, .. } => {
                 let l_cond = self.new_label();
                 let l_end = self.new_label();
                 self.bind(l_cond);
-                let c = self.expr(cond)?;
+                let c = self.expr(cond);
                 self.jz(c, l_end);
                 self.loops.push((l_end, l_cond));
-                self.lower_stmt(body)?;
+                self.lower_stmt(body);
                 self.loops.pop();
                 self.jmp(l_cond);
                 self.bind(l_end);
@@ -905,18 +983,18 @@ impl<'a> Lowerer<'a> {
                 let l_end = self.new_label();
                 self.bind(l_body);
                 self.loops.push((l_end, l_check));
-                self.lower_stmt(body)?;
+                self.lower_stmt(body);
                 self.loops.pop();
                 self.bind(l_check);
-                let c = self.expr(cond)?;
+                let c = self.expr(cond);
                 self.jnz(c, l_body);
                 self.bind(l_end);
             }
             Stmt::Return(e, _) => {
                 let src = match e {
-                    Some(e) => self.expr(e)?,
+                    Some(e) => self.expr(e),
                     None => {
-                        let r = self.alloc_reg()?;
+                        let r = self.alloc_reg();
                         self.load_const(r, Value::Int(0));
                         r
                     }
@@ -931,27 +1009,20 @@ impl<'a> Lowerer<'a> {
                 Some(&(_, cont)) => self.jmp(cont),
                 None => self.emit(Instr::FlowCont),
             },
-            Stmt::Omp { dir, body, .. } => self.lower_directive(dir, body.as_deref())?,
+            Stmt::Omp { dir, body, .. } => self.lower_directive(dir, body.as_deref()),
         }
         self.next_reg = mark;
-        Ok(())
     }
 
     /// Lower a `for` loop body (no `exec_stmt` entry charge: the
     /// worksharing fallback calls `exec_for` directly).
-    fn lower_for_inner(&mut self, f: &'a ForStmt) -> LResult<()> {
+    fn lower_for_inner(&mut self, f: &'a ForStmt) {
         self.scopes.push(HashMap::new());
-        let r = self.lower_for_parts(f);
-        self.scopes.pop();
-        r
-    }
-
-    fn lower_for_parts(&mut self, f: &'a ForStmt) -> LResult<()> {
         match &f.init {
             ForInit::Empty => {}
-            ForInit::Decl(d) => self.lower_decl(d, false)?,
+            ForInit::Decl(d) => self.lower_decl(d, false),
             ForInit::Expr(e) => {
-                self.expr(e)?;
+                self.expr(e);
             }
         }
         let l_cond = self.new_label();
@@ -959,42 +1030,59 @@ impl<'a> Lowerer<'a> {
         let l_end = self.new_label();
         self.bind(l_cond);
         if let Some(c) = &f.cond {
-            let r = self.expr(c)?;
+            let r = self.expr(c);
             self.jz(r, l_end);
         }
         self.loops.push((l_end, l_step));
-        self.lower_stmt(&f.body)?;
+        self.lower_stmt(&f.body);
         self.loops.pop();
         self.bind(l_step);
         if let Some(st) = &f.step {
-            self.expr(st)?;
+            self.expr(st);
         }
         self.jmp(l_cond);
         self.bind(l_end);
-        Ok(())
+        self.scopes.pop();
     }
 
     /// Lower a declaration: dims and init are evaluated *before* the name
     /// binds (mirroring `exec_decl`'s insertion order).
-    fn lower_decl(&mut self, d: &'a Decl, global: bool) -> LResult<()> {
+    fn lower_decl(&mut self, d: &'a Decl, global: bool) {
         for v in &d.vars {
             let mark = self.next_reg;
-            let n_dims = v.ty.dims.len();
-            if n_dims > MAX_INDEX_CHAIN {
-                return reject(format!("`{}` has {n_dims} dimensions", v.name));
-            }
-            let dims0 = self.alloc_regs(n_dims)?;
-            for (k, dim) in v.ty.dims.iter().enumerate() {
+            let dims = &v.ty.dims;
+            // Extents go to registers; a declarator too long for the
+            // instruction's register count passes them all as arguments.
+            let (spill, in_regs) =
+                dims.split_at(if dims.len() > REG_DIMS { dims.len() } else { 0 });
+            for dim in spill {
                 match dim {
-                    Some(e) => self.expr_into(e, dims0 + k as u16)?,
+                    Some(e) => self.push_arg(e),
+                    None => {
+                        let t = self.alloc_reg();
+                        self.load_const(t, Value::Int(0));
+                        self.emit(Instr::Arg { src: t });
+                        self.next_reg = t;
+                    }
+                }
+            }
+            let dims0 = self.alloc_regs(in_regs.len());
+            for (k, dim) in in_regs.iter().enumerate() {
+                match dim {
+                    Some(e) => self.expr_into(e, dims0 + k as u16),
                     None => self.load_const(dims0 + k as u16, Value::Int(0)),
                 }
             }
-            let slot = if global { self.alloc_global()? } else { self.alloc_slot()? };
-            self.emit(Instr::AllocSlot { slot, dims0, n_dims: n_dims as u8 });
+            let slot = if global { self.alloc_global(&v.name) } else { self.alloc_slot() };
+            self.emit(Instr::AllocSlot {
+                slot,
+                dims0,
+                n_dims: in_regs.len() as u8,
+                spill: spill.len() as u32,
+            });
             match &v.init {
                 Some(Init::Expr(e)) => {
-                    let t = self.expr(e)?;
+                    let t = self.expr(e);
                     self.emit(Instr::CoerceV {
                         dst: t,
                         src: t,
@@ -1009,7 +1097,7 @@ impl<'a> Lowerer<'a> {
                         let pc = self.instrs.len() as u32;
                         self.emit(Instr::ListGuard { slot, i: i as u32, to: 0 });
                         self.fixups.push((pc, Fix::To, l_end));
-                        let t = self.expr(e)?;
+                        let t = self.expr(e);
                         self.emit(Instr::CoerceV { dst: t, src: t, base: d.ty.base, ptr: false });
                         self.emit(Instr::ListStore { slot, i: i as u32, src: t });
                         self.next_reg = t;
@@ -1026,13 +1114,20 @@ impl<'a> Lowerer<'a> {
             }
             self.next_reg = mark;
         }
-        Ok(())
     }
 }
 
 // -------------------------------------------------------------------
 // Directives
 // -------------------------------------------------------------------
+
+/// What a forking directive's threads run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ForkKind {
+    Plain,
+    Loop,
+    Sections,
+}
 
 impl<'a> Lowerer<'a> {
     /// Append a descriptor and emit the `Dir` instruction referencing it
@@ -1046,109 +1141,95 @@ impl<'a> Lowerer<'a> {
     /// Lower `#pragma omp …` applied to `body`. Descriptor code ranges
     /// are emitted inline, jumped over by the fall-through path; the
     /// statement's entry charge rides on that jump.
-    fn lower_directive(&mut self, dir: &'a Directive, body: Option<&'a Stmt>) -> LResult<()> {
+    fn lower_directive(&mut self, dir: &'a Directive, body: Option<&'a Stmt>) {
         use DirectiveKind as DK;
         // Rangeless descriptors first (no jump needed).
         match &dir.kind {
-            DK::Barrier => {
-                self.push_dir(DirIr::Barrier);
-                return Ok(());
+            DK::Barrier => return self.push_dir(DirIr::Barrier),
+            DK::Flush(_) => return self.push_dir(DirIr::Flush),
+            DK::Taskwait => return self.push_dir(DirIr::Taskwait),
+            DK::Threadprivate(vars) => {
+                let names = vars.iter().map(|v| self.name_idx(v)).collect();
+                return self.push_dir(DirIr::Threadprivate(names));
             }
-            // `taskwait` with no tasks pending (task constructs reject
-            // below) is a no-op, like `flush`.
-            DK::Taskwait | DK::Flush(_) => {
-                self.push_dir(DirIr::Flush);
-                return Ok(());
-            }
-            DK::Threadprivate(_) => return reject("threadprivate"),
-            DK::Task => return reject("task"),
-            DK::Single => return reject("single"),
-            DK::Sections => return reject("sections"),
-            DK::ParallelSections => return reject("parallel sections"),
-            DK::Section if body.is_none() => {
-                self.push_dir(DirIr::Other { body: None });
-                return Ok(());
-            }
-            DK::Other(_) if body.is_none() => {
-                self.push_dir(DirIr::Other { body: None });
-                return Ok(());
-            }
-            _ if body.is_none() => {
-                // `body_or_ok` fails at runtime.
-                self.push_dir(DirIr::Trap);
-                return Ok(());
+            DK::Section | DK::Other(_) if body.is_none() => {
+                return self.push_dir(DirIr::Other { body: None })
             }
             _ => {}
         }
-        let body = body.expect("checked above");
+        let Some(body) = body else {
+            return self.trap(RtError::Unsupported("directive requires a body".into()));
+        };
         let l_dir = self.new_label();
         self.jmp(l_dir);
         let d = match &dir.kind {
-            DK::Section | DK::Taskgroup | DK::Other(_) => {
-                let r = self.range(|me| me.lower_stmt(body))?;
-                DirIr::Other { body: Some(r) }
-            }
-            DK::Master => {
-                let r = self.range(|me| me.lower_stmt(body))?;
-                DirIr::Master { body: r }
-            }
-            DK::Critical(name) => {
-                let r = self.range(|me| me.lower_stmt(body))?;
-                DirIr::Critical {
-                    name: name.clone().unwrap_or_else(|| "<anon>".into()),
-                    body: r,
-                }
-            }
+            DK::Section | DK::Other(_) => DirIr::Other { body: Some(self.stmt_range(body)) },
+            DK::Taskgroup => DirIr::Taskgroup { body: self.stmt_range(body) },
+            DK::Master => DirIr::Master { body: self.stmt_range(body) },
+            DK::Critical(name) => DirIr::Critical {
+                name: name.clone().unwrap_or_else(|| "<anon>".into()),
+                body: self.stmt_range(body),
+            },
             DK::Atomic(kind) => {
                 let target = atomic_target_var(*kind, body).map(|v| self.name_idx(&v));
-                let r = self.range(|me| me.lower_stmt(body))?;
-                DirIr::Atomic { target, body: r }
+                DirIr::Atomic { target, body: self.stmt_range(body) }
             }
             DK::Ordered => {
-                let r = self.range(|me| me.lower_stmt(body))?;
-                DirIr::Ordered { key: dir.span.start as usize, body: r }
+                DirIr::Ordered { key: dir.span.start as usize, body: self.stmt_range(body) }
             }
             DK::For | DK::ForSimd | DK::Simd => match as_for(body) {
                 Some(fs) => {
-                    let plain = self.range(|me| me.lower_stmt(body))?;
-                    let idx = self.lower_ws(dir, fs, Some(plain))?;
-                    DirIr::Ws(idx)
+                    let plain = self.stmt_range(body);
+                    DirIr::Ws(self.lower_ws(dir, fs, Some(plain)))
                 }
-                None => {
-                    // Loop directive on a non-loop runs the body as-is
-                    // on both the in-region and orphaned paths.
-                    let r = self.range(|me| me.lower_stmt(body))?;
-                    DirIr::Other { body: Some(r) }
-                }
+                // Loop directive on a non-loop runs the body as-is on
+                // both the in-region and orphaned paths.
+                None => DirIr::Other { body: Some(self.stmt_range(body)) },
             },
             DK::Parallel | DK::Target => {
-                let p = self.lower_parallel(dir, body, false)?;
-                DirIr::Parallel(p)
+                DirIr::Parallel(self.lower_parallel(dir, body, ForkKind::Plain))
             }
             DK::ParallelFor | DK::ParallelForSimd | DK::TargetParallelFor => {
-                let p = self.lower_parallel(dir, body, true)?;
-                DirIr::Parallel(p)
+                DirIr::Parallel(self.lower_parallel(dir, body, ForkKind::Loop))
             }
-            DK::Barrier
-            | DK::Taskwait
-            | DK::Flush(_)
-            | DK::Threadprivate(_)
-            | DK::Task
-            | DK::Single
-            | DK::Sections
-            | DK::ParallelSections => unreachable!("handled above"),
+            DK::ParallelSections => {
+                DirIr::Parallel(self.lower_parallel(dir, body, ForkKind::Sections))
+            }
+            DK::Sections => {
+                let plain = self.stmt_range(body);
+                match body {
+                    Stmt::Block(blk) => {
+                        DirIr::Sections { sec: self.lower_sections(dir, blk), plain }
+                    }
+                    // A non-block body runs as-is, in a region or not.
+                    _ => DirIr::Other { body: Some(plain) },
+                }
+            }
+            DK::Single => {
+                let plain = self.stmt_range(body);
+                let (privs, body) = self.privatized(dir, |me| me.stmt_range(body));
+                DirIr::Single {
+                    key: dir.span.start,
+                    phase_end: !dir.has_nowait(),
+                    privs,
+                    body,
+                    plain,
+                }
+            }
+            DK::Task => {
+                let plain = self.stmt_range(body);
+                let (privs, body) = self.privatized(dir, |me| me.stmt_range(body));
+                DirIr::Task { privs, body, plain }
+            }
+            DK::Barrier | DK::Taskwait | DK::Flush(_) | DK::Threadprivate(_) => {
+                unreachable!("handled above")
+            }
         };
         self.bind(l_dir);
         self.push_dir(d);
-        Ok(())
     }
 
-    fn lower_parallel(
-        &mut self,
-        dir: &'a Directive,
-        body: &'a Stmt,
-        loopish: bool,
-    ) -> LResult<ParallelIr> {
+    fn lower_parallel(&mut self, dir: &'a Directive, body: &'a Stmt, kind: ForkKind) -> ParallelIr {
         let serial_const = dir.clauses.iter().any(|c| match c {
             Clause::NumThreads(e) => e.const_int() == Some(1),
             Clause::If(e) => e.const_int() == Some(0),
@@ -1161,35 +1242,39 @@ impl<'a> Lowerer<'a> {
             .filter(|v| *v > 0);
 
         // Serial paths carry no privatization.
-        let plain_serial = self.range(|me| me.lower_stmt(body))?;
-        let ws_serial = match (loopish, as_for(body)) {
-            (true, Some(fs)) => Some(self.lower_ws(dir, fs, None)?),
+        let plain_serial = self.stmt_range(body);
+        let ws_serial = match (kind, as_for(body)) {
+            (ForkKind::Loop, Some(fs)) => Some(self.lower_ws(dir, fs, None)),
             _ => None,
         };
 
-        // Fork path: privatization scope, clause order.
-        self.scopes.push(HashMap::new());
-        let built = self.lower_fork(dir, body, loopish);
-        self.scopes.pop();
-        let (privs, ws_fork, plain_fork) = built?;
+        let (privs, fork) = self.privatized(dir, |me| match (kind, as_for(body), body) {
+            (ForkKind::Loop, Some(fs), _) => Work::Ws(me.lower_ws(dir, fs, None)),
+            (ForkKind::Sections, _, Stmt::Block(blk)) => {
+                Work::Sections(me.lower_sections(dir, blk))
+            }
+            _ => Work::Plain(me.stmt_range(body)),
+        });
 
-        Ok(ParallelIr { serial_const, team, privs, ws_fork, plain_fork, ws_serial, plain_serial })
+        ParallelIr { serial_const, team, privs, fork, ws_serial, plain_serial }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn lower_fork(
+    /// Lower `f` inside the directive's privatization scope (the
+    /// interpreter's `with_privatized`): clause bindings in clause order,
+    /// then `threadprivate` shadows, then the reduction merges.
+    fn privatized<T>(
         &mut self,
         dir: &'a Directive,
-        body: &'a Stmt,
-        loopish: bool,
-    ) -> LResult<(PrivSpec, Option<u32>, Option<CodeRange>)> {
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> (PrivSpec, T) {
+        self.scopes.push(HashMap::new());
         let mut ops = Vec::new();
         for c in &dir.clauses {
             match c {
                 Clause::Private(vars) | Clause::Lastprivate(vars) => {
                     for v in vars {
                         let outer = self.lookup(v);
-                        let slot = self.alloc_slot()?;
+                        let slot = self.alloc_slot();
                         ops.push(PrivOp::Fresh { slot, outer: outer.map(|i| i.slot) });
                         let array = outer.is_some_and(|i| i.array);
                         self.bind_name(v.as_str(), ScopeInfo { slot, array });
@@ -1198,7 +1283,7 @@ impl<'a> Lowerer<'a> {
                 Clause::Firstprivate(vars) | Clause::Linear(vars) => {
                     for v in vars {
                         if let Some(outer) = self.lookup(v) {
-                            let slot = self.alloc_slot()?;
+                            let slot = self.alloc_slot();
                             ops.push(PrivOp::Copy { slot, outer: outer.slot });
                             self.bind_name(v.as_str(), ScopeInfo { slot, array: outer.array });
                         }
@@ -1206,7 +1291,7 @@ impl<'a> Lowerer<'a> {
                 }
                 Clause::Reduction(op, vars) => {
                     for v in vars {
-                        let slot = self.alloc_slot()?;
+                        let slot = self.alloc_slot();
                         ops.push(PrivOp::Red { slot, op: *op });
                         self.bind_name(v.as_str(), ScopeInfo { slot, array: false });
                     }
@@ -1215,10 +1300,21 @@ impl<'a> Lowerer<'a> {
             }
         }
 
-        let (ws_fork, plain_fork) = match (loopish, as_for(body)) {
-            (true, Some(fs)) => (Some(self.lower_ws(dir, fs, None)?), None),
-            _ => (None, Some(self.range(|me| me.lower_stmt(body))?)),
-        };
+        // A global that is not rebound in this frame may be declared
+        // threadprivate by the time the directive runs.
+        let mut tp = Vec::new();
+        for k in 0..self.tp_names.len() {
+            let v = self.tp_names[k];
+            if self.frame_binding(v).is_some() {
+                continue;
+            }
+            let Some(g) = self.globals.get(v).copied() else { continue };
+            let slot = self.alloc_slot();
+            self.bind_name(v, ScopeInfo { slot, array: g.array });
+            tp.push(TpShadow { name: self.name_idx(v), slot, global: g.slot });
+        }
+
+        let out = f(self);
 
         // Reduction merges: first clause's operator, final binding's
         // slot, one merge per variable (the interpreter removes the
@@ -1231,44 +1327,54 @@ impl<'a> Lowerer<'a> {
                     if !seen.insert(v.as_str()) {
                         continue;
                     }
-                    let private = self
-                        .scopes
-                        .last()
-                        .and_then(|s| s.get(v.as_str()))
-                        .map(|i| i.slot)
-                        .ok_or_else(|| LowerError(format!("internal: `{v}` not privatized")))?;
+                    let private = self.scopes.last().expect("privatization scope")[v.as_str()].slot;
                     let outer = self.lookup_below_top(v).map(|i| i.slot);
                     merges.push(RedMerge { op: *op, private, outer });
                 }
             }
         }
+        self.scopes.pop();
+        (PrivSpec { ops, tp, merges }, out)
+    }
 
-        Ok((PrivSpec { ops, merges }, ws_fork, plain_fork))
+    /// Lower a `sections` block (the interpreter's `exec_sections`):
+    /// one range per statement inside the block's own scope.
+    fn lower_sections(&mut self, dir: &'a Directive, blk: &'a Block) -> u32 {
+        self.scopes.push(HashMap::new());
+        let items: Vec<SecItem> = blk
+            .stmts
+            .iter()
+            .map(|st| match st {
+                Stmt::Omp { dir: d2, body, .. } if d2.kind == DirectiveKind::Section => {
+                    SecItem::Section(body.as_deref().map(|b| self.stmt_range(b)))
+                }
+                other => SecItem::Shared(self.stmt_range(other)),
+            })
+            .collect();
+        self.scopes.pop();
+        let n_sections = items.iter().filter(|i| matches!(i, SecItem::Section(_))).count().max(1);
+        self.sections.push(SectionsIr {
+            key: dir.span.start,
+            n_sections: n_sections as u32,
+            items,
+            phase_end: !dir.has_nowait() && !dir.kind.creates_parallelism(),
+        });
+        (self.sections.len() - 1) as u32
     }
 
     /// Lower a worksharing loop into a [`WsIr`] descriptor, replaying
     /// the interpreter's scope mutations (init, induction rebind,
     /// collapse prebinds, level-init rebinds) in execution order.
-    fn lower_ws(
-        &mut self,
-        dir: &'a Directive,
-        fs: &'a ForStmt,
-        plain: Option<CodeRange>,
-    ) -> LResult<u32> {
+    fn lower_ws(&mut self, dir: &'a Directive, fs: &'a ForStmt, plain: Option<CodeRange>) -> u32 {
         use DirectiveKind as DK;
         self.scopes.push(HashMap::new());
-        let built = self.lower_ws_parts(dir, fs, plain);
+        let ws = self.lower_ws_parts(dir, fs, plain);
         self.scopes.pop();
-        let ws = built?;
-        if self.ws.len() >= u32::MAX as usize {
-            return reject("too many worksharing loops");
-        }
         let idx = self.ws.len() as u32;
-        let phase_end = !dir.has_nowait()
-            && !matches!(dir.kind, DK::Simd)
-            && !dir.kind.creates_parallelism();
+        let phase_end =
+            !dir.has_nowait() && !matches!(dir.kind, DK::Simd) && !dir.kind.creates_parallelism();
         self.ws.push(WsIr { phase_end, ..ws });
-        Ok(idx)
+        idx
     }
 
     fn lower_ws_parts(
@@ -1276,15 +1382,14 @@ impl<'a> Lowerer<'a> {
         dir: &'a Directive,
         fs: &'a ForStmt,
         plain: Option<CodeRange>,
-    ) -> LResult<WsIr> {
+    ) -> WsIr {
         use DirectiveKind as DK;
         let init = match &fs.init {
             ForInit::Empty => WsInit::None,
-            ForInit::Decl(d) => WsInit::Decl(self.range(|me| me.lower_decl(d, false))?),
+            ForInit::Decl(d) => WsInit::Decl(self.range(|me| me.lower_decl(d, false))),
             ForInit::Expr(e) => WsInit::Expr(self.range(|me| {
-                me.expr(e)?;
-                Ok(())
-            })?),
+                me.expr(e);
+            })),
         };
 
         // Rebind the induction variable to a fresh per-thread slot; its
@@ -1293,7 +1398,7 @@ impl<'a> Lowerer<'a> {
         let mut ivar_slot = None;
         if let Some(v) = ivar_name {
             let src = self.lookup(v).map(|i| i.slot);
-            let slot = self.alloc_slot()?;
+            let slot = self.alloc_slot();
             self.bind_name(v, ScopeInfo { slot, array: false });
             ivar_slot = Some((slot, src));
         }
@@ -1305,7 +1410,7 @@ impl<'a> Lowerer<'a> {
             for _ in 1..dir.collapse() {
                 let Some(nf) = as_for(&nested.body) else { break };
                 if let Some(v) = nf.induction_var() {
-                    let slot = self.alloc_slot()?;
+                    let slot = self.alloc_slot();
                     self.bind_name(v, ScopeInfo { slot, array: false });
                     prebind.push(slot);
                 }
@@ -1314,23 +1419,15 @@ impl<'a> Lowerer<'a> {
         }
 
         // Enumeration header (cond/step see the prebind slots).
-        let ivar = match ivar_slot {
-            Some((slot, src)) => {
-                let cond = match &fs.cond {
-                    Some(c) => Some(self.expr_code(c)?),
-                    None => None,
-                };
-                let step = match &fs.step {
-                    Some(st) => Some(self.range(|me| {
-                        me.expr(st)?;
-                        Ok(())
-                    })?),
-                    None => None,
-                };
-                Some(IvarIr { src, slot, cond, step })
-            }
-            None => None,
-        };
+        let ivar = ivar_slot.map(|(slot, src)| {
+            let cond = fs.cond.as_ref().map(|c| self.expr_code(c));
+            let step = fs.step.as_ref().map(|st| {
+                self.range(|me| {
+                    me.expr(st);
+                })
+            });
+            IvarIr { src, slot, cond, step }
+        });
 
         // Collapse walk: enumerable rectangular inner levels.
         let mut levels = Vec::new();
@@ -1352,11 +1449,10 @@ impl<'a> Lowerer<'a> {
                     let init_range = self.range(|me| match &nf.init {
                         ForInit::Decl(d) => me.lower_decl(d, false),
                         ForInit::Expr(e) => {
-                            me.expr(e)?;
-                            Ok(())
+                            me.expr(e);
                         }
                         ForInit::Empty => unreachable!("checked above"),
-                    })?;
+                    });
                     let (binding, cond) = match (self.lookup(nv), &nf.cond) {
                         (Some(b), Some(c)) => (b, c),
                         _ => {
@@ -1367,14 +1463,12 @@ impl<'a> Lowerer<'a> {
                         }
                     };
                     let slot = binding.slot;
-                    let cond = self.expr_code(cond)?;
-                    let step = match &nf.step {
-                        Some(st) => Some(self.range(|me| {
-                            me.expr(st)?;
-                            Ok(())
-                        })?),
-                        None => None,
-                    };
+                    let cond = self.expr_code(cond);
+                    let step = nf.step.as_ref().map(|st| {
+                        self.range(|me| {
+                            me.expr(st);
+                        })
+                    });
                     levels.push(LevelIr { init: init_range, slot, cond, step });
                     outer_vars.push(nv.to_string());
                     cur_for = nf;
@@ -1396,23 +1490,14 @@ impl<'a> Lowerer<'a> {
             }
             b
         };
-        let body = self.range(|me| me.lower_stmt(innermost))?;
+        let body = self.stmt_range(innermost);
 
         // Schedule chunk expression (evaluated on cache miss, events on).
-        let sched = match dir.schedule() {
-            Some((k, ch)) => {
-                let chunk = match ch {
-                    Some(e) => Some(self.expr_code(e)?),
-                    None => None,
-                };
-                Some((*k, chunk))
-            }
-            None => None,
-        };
+        let sched = dir.schedule().map(|(k, ch)| (*k, ch.as_ref().map(|e| self.expr_code(e))));
 
         // Non-canonical loops re-run the whole `for` on thread 0.
         let fallback = match ivar {
-            None => Some(self.range(|me| me.lower_for_inner(fs))?),
+            None => Some(self.range(|me| me.lower_for_inner(fs))),
             Some(_) => None,
         };
 
@@ -1428,7 +1513,7 @@ impl<'a> Lowerer<'a> {
             }
         }
 
-        Ok(WsIr {
+        WsIr {
             key: dir.span.start,
             plain,
             init,
@@ -1443,18 +1528,19 @@ impl<'a> Lowerer<'a> {
             simd_only: dir.kind == DK::Simd,
             phase_end: false, // patched by lower_ws
             lastpriv,
-        })
+        }
     }
 
-    fn expr_code(&mut self, e: &'a Expr) -> LResult<ExprCode> {
-        let out = self.alloc_reg()?;
-        let range = self.range(|me| me.expr_into(e, out))?;
-        Ok(ExprCode { range, out })
+    fn expr_code(&mut self, e: &'a Expr) -> ExprCode {
+        let out = self.alloc_reg();
+        let range = self.range(|me| me.expr_into(e, out));
+        ExprCode { range, out }
     }
 }
 
-/// Lower a parsed unit into a bytecode [`Program`], or reject it (the
-/// caller falls back to the AST interpreter).
-pub fn lower(unit: &TranslationUnit) -> Result<Program, LowerError> {
+/// Lower a parsed unit into a bytecode [`Program`]. Total: every parsed
+/// kernel lowers, and running the program is observably identical to
+/// running the unit on the AST interpreter.
+pub fn lower(unit: &TranslationUnit) -> Program {
     Lowerer::new().lower_unit(unit)
 }

@@ -16,12 +16,12 @@
 //!   which is exactly the order [`global_names`] reports, so both
 //!   engines produce identically-keyed observations.
 //!
-//! [`observe_oracle`] mirrors [`run_oracle`](crate::exec::run_oracle):
-//! bytecode first, interpreter fallback on rejection or executor error,
-//! with the engine choice reported out-of-band so equivalence verdicts
-//! never depend on which engine ran. It hands back the run's trace
-//! beside the observation, so one execution can feed both the
-//! happens-before analysis and the output comparison.
+//! [`observe_oracle`] is the oracle's observation: it runs the bytecode
+//! executor (like [`run_oracle`](crate::exec::run_oracle)) and hands
+//! back the run's trace beside the observation, so one execution can
+//! feed both the happens-before analysis and the output comparison.
+//! [`observe`] is the interpreter's, the reference it is tested
+//! against.
 //!
 //! Comparison ([`first_difference`]) is byte-identical: floats compare
 //! by bit pattern, not by `==`, so `-0.0` vs `0.0` (and NaN payloads)
@@ -54,19 +54,6 @@ pub struct Observation {
     pub schedule_sensitive: bool,
 }
 
-/// An [`Observation`] and the trace of the run it came from, plus which
-/// engine produced them (the same side-channel contract as
-/// [`OracleRun`](crate::ir::OracleRun): `fell_back` feeds metrics,
-/// never verdicts).
-#[derive(Debug)]
-pub struct ObservedRun {
-    /// The observation and its run's trace, or the runtime error both
-    /// engines agreed on.
-    pub output: RtResult<(Observation, Trace)>,
-    /// True when the AST interpreter produced the output.
-    pub fell_back: bool,
-}
-
 /// Names of every file-scope variable, in declaration order — the order
 /// the lowerer numbers global slots in.
 pub fn global_names(unit: &TranslationUnit) -> Vec<String> {
@@ -97,24 +84,20 @@ fn pack(
     (obs, out.trace)
 }
 
-/// Observe one AST-interpreter run.
+/// Observe one AST-interpreter run (the reference semantics).
 pub fn observe(unit: &TranslationUnit, cfg: &Config) -> RtResult<Observation> {
     let (out, globals) = run_with_globals(unit, cfg)?;
     Ok(pack(unit, out, globals).0)
 }
 
-/// Observe one run through the bytecode fast path with interpreter
-/// fallback: with a program, try the executor first; on any executor
-/// error — and whenever no program is available — rerun the
-/// interpreter, reporting `fell_back`.
-pub fn observe_oracle(unit: &TranslationUnit, prog: Option<&Program>, cfg: &Config) -> ObservedRun {
-    if let Some(p) = prog {
-        if let Ok((out, globals)) = run_program_with_globals(p, cfg) {
-            return ObservedRun { output: Ok(pack(unit, out, globals)), fell_back: false };
-        }
-    }
-    let output = run_with_globals(unit, cfg).map(|(out, globals)| pack(unit, out, globals));
-    ObservedRun { output, fell_back: true }
+/// Observe one bytecode-executor run of `unit`'s lowered program, with
+/// the run's trace.
+pub fn observe_oracle(
+    unit: &TranslationUnit,
+    prog: &Program,
+    cfg: &Config,
+) -> RtResult<(Observation, Trace)> {
+    run_program_with_globals(prog, cfg).map(|(out, globals)| pack(unit, out, globals))
 }
 
 /// Bit-precise value identity (floats by bit pattern, so NaNs and
@@ -196,12 +179,10 @@ mod tests {
     #[test]
     fn interpreter_and_executor_observe_identically() {
         let unit = minic::parse(SUM).unwrap();
-        let prog = lower(&unit).unwrap();
+        let prog = lower(&unit);
         for seed in [1u64, 7, 23] {
             let via_interp = observe(&unit, &cfg(seed)).unwrap();
-            let via_exec = observe_oracle(&unit, Some(&prog), &cfg(seed));
-            assert!(!via_exec.fell_back);
-            let (obs, trace) = via_exec.output.unwrap();
+            let (obs, trace) = observe_oracle(&unit, &prog, &cfg(seed)).unwrap();
             assert_eq!(via_interp, obs);
             assert_eq!(trace, crate::run(&unit, &cfg(seed)).unwrap().trace);
         }
@@ -219,14 +200,6 @@ mod tests {
         assert_eq!(by_name["sum"], &vec![Value::Int(sum)]);
         assert_eq!(by_name["a"].len(), 8);
         assert_eq!(by_name["avg"], &vec![Value::Float(sum as f64 / 8.0)]);
-    }
-
-    #[test]
-    fn oracle_falls_back_without_a_program() {
-        let unit = minic::parse(SUM).unwrap();
-        let run = observe_oracle(&unit, None, &cfg(1));
-        assert!(run.fell_back);
-        assert_eq!(run.output.unwrap().0, observe(&unit, &cfg(1)).unwrap());
     }
 
     #[test]

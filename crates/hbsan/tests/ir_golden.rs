@@ -21,7 +21,7 @@ fn golden_dir() -> PathBuf {
 /// or rewrite the snapshot when `RACELLM_BLESS=1`.
 fn check(name: &str, code: &str) {
     let unit = minic::parse(code).expect("golden kernels parse");
-    let prog = hbsan::lower(&unit).expect("golden kernels lower");
+    let prog = hbsan::lower(&unit);
     let rendered = prog.to_string();
 
     let path = golden_dir().join(name);
@@ -100,5 +100,13 @@ fn critical_master() {
     check(
         "critical_master.txt",
         "int count;\nint main() {\n  #pragma omp parallel\n  {\n    #pragma omp critical\n    {\n      count = count + 1;\n    }\n    #pragma omp barrier\n    #pragma omp master\n    {\n      count = count * 2;\n    }\n  }\n  return count;\n}\n",
+    );
+}
+
+#[test]
+fn single_sections_task() {
+    check(
+        "single_sections_task.txt",
+        "int x;\nint y;\nint main() {\n  #pragma omp parallel\n  {\n    #pragma omp single\n    {\n      #pragma omp task\n      x = x + 1;\n      #pragma omp taskwait\n    }\n    #pragma omp sections\n    {\n      #pragma omp section\n      y = x;\n      #pragma omp section\n      x = 2;\n    }\n  }\n  return x;\n}\n",
     );
 }

@@ -136,7 +136,7 @@ pub struct AnalyzedKernel {
     /// Lazily-lowered bytecode program for the dynamic oracle. Inner
     /// `None` means lowering was attempted and rejected (or there is no
     /// AST); callers fall back to the AST interpreter.
-    oracle_program: OnceLock<Option<hbsan::Program>>,
+    oracle_program: OnceLock<hbsan::Program>,
 }
 
 impl AnalyzedKernel {
@@ -172,12 +172,10 @@ impl AnalyzedKernel {
 
     /// The kernel's bytecode oracle program, lowered at most once per
     /// artifact and shared by every subsequent schedule sweep. `None`
-    /// when the code does not parse or when `hbsan::lower` rejects the
-    /// kernel (sections/single/tasks — the interpreter fallback path).
+    /// only when the code does not parse (every parsed kernel lowers).
     pub fn oracle_program(&self) -> Option<&hbsan::Program> {
-        self.oracle_program
-            .get_or_init(|| hbsan::lower(self.ast.as_ref()?).ok())
-            .as_ref()
+        let unit = self.ast.as_ref()?;
+        Some(self.oracle_program.get_or_init(|| hbsan::lower(unit)))
     }
 }
 
@@ -229,12 +227,10 @@ mod tests {
         // No AST → no program (and no panic).
         assert!(AnalyzedKernel::analyze("not C at all {{{").oracle_program().is_none());
 
-        // Lowering rejection (sections) degrades to `None`; callers
-        // fall back to the AST interpreter.
+        // Every parsed kernel lowers, sections included.
         let sections = "int x;\nint main() {\n  #pragma omp parallel sections\n  {\n    #pragma omp section\n    { x = 1; }\n    #pragma omp section\n    { x = 2; }\n  }\n  return x;\n}\n";
         let s = AnalyzedKernel::analyze(sections);
-        assert!(s.ast.is_some());
-        assert!(s.oracle_program().is_none());
+        assert!(s.oracle_program().is_some());
     }
 
     #[test]

@@ -30,16 +30,15 @@ pub(crate) struct Baseline {
     obs: Vec<Observation>,
 }
 
-/// Run a kernel once per seed on the oracle (bytecode executor first,
-/// interpreter fallback) and keep each run's observation, stopping
+/// Run a kernel's program once per seed on the oracle and keep each
+/// run's observation, stopping
 /// after the first run when the schedule ignores the seed. `None` when
 /// there are no seeds, a run fails, or `trace_ok` rejects a run's
 /// trace.
 fn run_seeds(
     unit: &TranslationUnit,
-    prog: Option<&Program>,
+    prog: &Program,
     seeds: &[u64],
-    fell_back: &mut bool,
     trace_ok: impl Fn(&Trace) -> bool,
 ) -> Option<Vec<Observation>> {
     let mut out: Vec<Observation> = Vec::with_capacity(seeds.len());
@@ -48,9 +47,8 @@ fn run_seeds(
             out.push(out[0].clone());
             continue;
         }
-        let run = obs::observe_oracle(unit, prog, &Config { seed, ..Config::default() });
-        *fell_back |= run.fell_back;
-        let (observation, trace) = run.output.ok()?;
+        let (observation, trace) =
+            obs::observe_oracle(unit, prog, &Config { seed, ..Config::default() }).ok()?;
         if !trace_ok(&trace) {
             return None;
         }
@@ -62,11 +60,10 @@ fn run_seeds(
 /// Build the original kernel's output baseline.
 pub(crate) fn baseline(
     unit: &TranslationUnit,
-    prog: Option<&Program>,
+    prog: &Program,
     cfg: &RepairConfig,
-    fell_back: &mut bool,
 ) -> Option<Baseline> {
-    Some(Baseline { obs: run_seeds(unit, prog, &cfg.seeds, fell_back, |_| true)? })
+    Some(Baseline { obs: run_seeds(unit, prog, &cfg.seeds, |_| true)? })
 }
 
 /// Apply an edit list in order; `None` when any edit does not apply
@@ -94,20 +91,18 @@ pub(crate) fn certify(
     edits: &[RepairEdit],
     patched: TranslationUnit,
     cfg: &RepairConfig,
-    fell_back: &mut bool,
 ) -> Option<Certified> {
     // Gate 1 — static: cheapest, so first.
     if !racecheck::check(&patched).races.is_empty() {
         return None;
     }
 
-    // Gates 2 and 3 — one run per seed through the bytecode fast path
-    // (candidates are lowered fresh; they are new programs, not the
-    // cached original): its trace must be race-free, and its output
-    // must match the original's, excluding globals the patch declares
-    // scratch.
-    let prog = hbsan::lower(&patched).ok();
-    let patched_obs = run_seeds(&patched, prog.as_ref(), &cfg.seeds, fell_back, |trace| {
+    // Gates 2 and 3 — one run per seed on the oracle (candidates are
+    // lowered fresh; they are new programs, not the cached original):
+    // its trace must be race-free, and its output must match the
+    // original's, excluding globals the patch declares scratch.
+    let prog = hbsan::lower(&patched);
+    let patched_obs = run_seeds(&patched, &prog, &cfg.seeds, |trace| {
         !hbsan::analyze(trace).has_race()
     })?;
     let scratch: Vec<String> =
@@ -147,8 +142,7 @@ mod tests {
     fn setup(code: &str) -> (TranslationUnit, Baseline, RepairConfig) {
         let unit = minic::parse(code).unwrap();
         let cfg = RepairConfig::default();
-        let mut fb = false;
-        let base = baseline(&unit, None, &cfg, &mut fb).unwrap();
+        let base = baseline(&unit, &hbsan::lower(&unit), &cfg).unwrap();
         (unit, base, cfg)
     }
 
@@ -157,8 +151,7 @@ mod tests {
         let (unit, base, cfg) = setup(RACY_SUM);
         let edits = [RepairEdit::AddReduction { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let mut fb = false;
-        let cert = certify(&base, &edits, patched, &cfg, &mut fb).expect("certifies");
+        let cert = certify(&base, &edits, patched, &cfg).expect("certifies");
         assert!(cert.certificate.certified(&cfg.seeds));
         assert!(cert.certificate.scratch.is_empty());
     }
@@ -171,9 +164,8 @@ mod tests {
         let (unit, base, cfg) = setup(RACY_SUM);
         let edits = [RepairEdit::AddPrivate { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let mut fb = false;
         assert!(
-            certify(&base, &edits, patched, &cfg, &mut fb).is_none(),
+            certify(&base, &edits, patched, &cfg).is_none(),
             "exit value depends on sum; privatization must fail equivalence"
         );
     }
@@ -187,8 +179,7 @@ mod tests {
         );
         let edits = [RepairEdit::WrapCritical { var: "count".into() }];
         let patched = apply_edits(&unit, &edits).expect("applies");
-        let mut fb = false;
-        assert!(certify(&base, &edits, patched, &cfg, &mut fb).is_none());
+        assert!(certify(&base, &edits, patched, &cfg).is_none());
     }
 
     #[test]

@@ -141,10 +141,6 @@ pub struct FixReport {
     pub outcome: Outcome,
     /// Candidates that applied and went through certification.
     pub candidates_tried: usize,
-    /// True when any dynamic run fell back from the bytecode executor
-    /// to the AST interpreter. A side channel for metrics — it never
-    /// influences the outcome, mirroring `xcheck::Evidence::fell_back`.
-    pub fell_back: bool,
 }
 
 impl FixReport {
@@ -185,27 +181,21 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
             verdicts: None,
             outcome: Outcome::Unparseable,
             candidates_tried: 0,
-            fell_back: false,
         };
     };
     let verdicts = ev.verdicts;
-    let mut fell_back = ev.fell_back;
-    let report = |outcome, candidates_tried, fell_back| FixReport {
-        verdicts: Some(verdicts),
-        outcome,
-        candidates_tried,
-        fell_back,
-    };
+    let report =
+        |outcome, candidates_tried| FixReport { verdicts: Some(verdicts), outcome, candidates_tried };
     let flagged = verdicts.stat || verdicts.dynv == Some(true) || verdicts.llm;
     if !flagged {
-        return report(Outcome::CleanAlready, 0, fell_back);
+        return report(Outcome::CleanAlready, 0);
     }
 
     // Baseline: the original's observable output per seed. Without it
     // there is no equivalence evidence, hence no certificate.
-    let prog = artifact.oracle_program();
-    let Some(base) = certify::baseline(unit, prog, cfg, &mut fell_back) else {
-        return report(Outcome::Unfixed, 0, fell_back);
+    let prog = artifact.oracle_program().expect("a parsed kernel has a program");
+    let Some(base) = certify::baseline(unit, prog, cfg) else {
+        return report(Outcome::Unfixed, 0);
     };
 
     let canon = print_unit(unit);
@@ -213,9 +203,8 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
     for cand in candidates::enumerate(unit, &ev.stat, ev.dynamic.as_ref(), cfg.max_candidates) {
         let Some(patched) = certify::apply_edits(unit, &cand) else { continue };
         tried += 1;
-        if let Some(cert) = certify::certify(&base, &cand, patched, cfg, &mut fell_back) {
-            let (edits, cert) =
-                minimize::minimize(unit, cand, cert, &base, cfg, &mut fell_back, &mut tried);
+        if let Some(cert) = certify::certify(&base, &cand, patched, cfg) {
+            let (edits, cert) = minimize::minimize(unit, cand, cert, &base, cfg, &mut tried);
             let patch = minic::unified_diff(&canon, &cert.code, 2);
             let patch_lines = minic::diff_size(&patch);
             let fix = Fix {
@@ -225,10 +214,10 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
                 patch_lines,
                 certificate: cert.certificate,
             };
-            return report(Outcome::Fixed(fix), tried, fell_back);
+            return report(Outcome::Fixed(fix), tried);
         }
     }
-    report(Outcome::Unfixed, tried, fell_back)
+    report(Outcome::Unfixed, tried)
 }
 
 #[cfg(test)]

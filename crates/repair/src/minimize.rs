@@ -18,7 +18,6 @@ pub(crate) fn minimize(
     mut cert: Certified,
     base: &Baseline,
     cfg: &RepairConfig,
-    fell_back: &mut bool,
     tried: &mut usize,
 ) -> (Vec<RepairEdit>, Certified) {
     let mut i = 0;
@@ -27,7 +26,7 @@ pub(crate) fn minimize(
         smaller.remove(i);
         if let Some(patched) = apply_edits(original, &smaller) {
             *tried += 1;
-            if let Some(c) = certify(base, &smaller, patched, cfg, fell_back) {
+            if let Some(c) = certify(base, &smaller, patched, cfg) {
                 edits = smaller;
                 cert = c;
                 i = 0; // restart: earlier edits may now be droppable too
@@ -51,17 +50,16 @@ mod tests {
         let code = "int sum; int a[64];\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) { a[i] = i; sum += i; }\n  return sum;\n}\n";
         let unit = minic::parse(code).unwrap();
         let cfg = RepairConfig::default();
-        let mut fb = false;
-        let base = baseline(&unit, None, &cfg, &mut fb).unwrap();
+        let base = baseline(&unit, &hbsan::lower(&unit), &cfg).unwrap();
         let edits = vec![
             RepairEdit::AddReduction { var: "sum".into() },
             RepairEdit::WrapCritical { var: "a".into() },
         ];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let cert = certify(&base, &edits, patched, &cfg, &mut fb).expect("combo certifies");
+        let cert = certify(&base, &edits, patched, &cfg).expect("combo certifies");
         let mut tried = 0;
         let (min_edits, min_cert) =
-            minimize(&unit, edits, cert, &base, &cfg, &mut fb, &mut tried);
+            minimize(&unit, edits, cert, &base, &cfg, &mut tried);
         assert_eq!(min_edits, vec![RepairEdit::AddReduction { var: "sum".into() }]);
         assert!(min_cert.certificate.certified(&cfg.seeds));
         assert!(tried >= 1);
@@ -72,14 +70,13 @@ mod tests {
         let code = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
         let unit = minic::parse(code).unwrap();
         let cfg = RepairConfig::default();
-        let mut fb = false;
-        let base = baseline(&unit, None, &cfg, &mut fb).unwrap();
+        let base = baseline(&unit, &hbsan::lower(&unit), &cfg).unwrap();
         let edits = vec![RepairEdit::AddReduction { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let cert = certify(&base, &edits, patched, &cfg, &mut fb).unwrap();
+        let cert = certify(&base, &edits, patched, &cfg).unwrap();
         let mut tried = 0;
         let (min_edits, _) =
-            minimize(&unit, edits.clone(), cert, &base, &cfg, &mut fb, &mut tried);
+            minimize(&unit, edits.clone(), cert, &base, &cfg, &mut tried);
         assert_eq!(min_edits, edits);
         assert_eq!(tried, 0, "nothing to drop, nothing re-certified");
     }

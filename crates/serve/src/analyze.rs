@@ -100,16 +100,6 @@ fn op_word(kind: depend::AccessKind) -> &'static str {
 /// count or timing (hbsan's sweep is seed-deterministic by PR 2's
 /// equivalence suite).
 pub fn analyze_code(source: &str) -> AnalyzeResponse {
-    analyze_code_traced(source).0
-}
-
-/// [`analyze_code`] plus a side channel: whether the dynamic sweep fell
-/// back from the bytecode executor to the AST interpreter (lowering
-/// rejected the kernel, or the executor hit a runtime error and the
-/// interpreter re-ran it). The flag never affects the response bytes —
-/// it only feeds the `racellm_oracle_fallbacks_total` counter, so cache
-/// hits and fresh computations stay byte-identical.
-pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
     let trimmed = minic::trim_comments(source);
     let (ast, parse_error) = match minic::parse(&trimmed.code) {
         Ok(unit) => (Some(unit), None),
@@ -125,7 +115,7 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
         })
         .collect();
 
-    let (verdicts, static_races, dynamic_races, var_pairs, fell_back) = match detect(&artifact) {
+    let (verdicts, static_races, dynamic_races, var_pairs) = match detect(&artifact) {
         Some(ev) => {
             let dynamic_races = ev.dynamic.map_or_else(Vec::new, |rep| {
                 rep.races.iter().take(5).map(hbsan::DynRace::describe).collect()
@@ -136,7 +126,7 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
                 operations: vec![op_word(r.first.kind).into(), op_word(r.second.kind).into()],
             });
             let races = ev.stat.races.iter().map(racecheck::Race::describe).collect();
-            (ev.verdicts.into(), races, dynamic_races, pairs, ev.fell_back)
+            (ev.verdicts.into(), races, dynamic_races, pairs)
         }
         None => (
             WireVerdicts {
@@ -150,11 +140,10 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
             Vec::new(),
             Vec::new(),
             None,
-            false,
         ),
     };
 
-    let resp = AnalyzeResponse {
+    AnalyzeResponse {
         tokens: artifact.tokens.len(),
         parse_ok: parse_error.is_none(),
         parse_error,
@@ -163,21 +152,13 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
         dynamic_races,
         models,
         var_pairs,
-    };
-    (resp, fell_back)
+    }
 }
 
 /// The canonical serialized response for a kernel — exactly the bytes
 /// the server caches and ships (compact JSON, stable field order).
 pub fn response_body(source: &str) -> String {
-    response_body_traced(source).0
-}
-
-/// [`response_body`] plus the oracle-fallback flag (see
-/// [`analyze_code_traced`]).
-pub fn response_body_traced(source: &str) -> (String, bool) {
-    let (resp, fell_back) = analyze_code_traced(source);
-    (serde_json::to_string(&resp).expect("response serialization is infallible"), fell_back)
+    serde_json::to_string(&analyze_code(source)).expect("response serialization is infallible")
 }
 
 #[cfg(test)]

@@ -73,13 +73,11 @@ pub fn fix_code(source: &str) -> FixResponse {
     fix_code_traced(source).0
 }
 
-/// [`fix_code`] plus two side channels that never affect the response
-/// bytes: whether any dynamic run fell back from the bytecode executor
-/// to the AST interpreter (feeds `racellm_oracle_fallbacks_total`), and
-/// whether a certified fix was produced *by this computation* (feeds
-/// `racellm_fix_certified_total`; cache hits replay the body without
-/// re-certifying, so they do not move that counter).
-pub fn fix_code_traced(source: &str) -> (FixResponse, bool, bool) {
+/// [`fix_code`] plus a side channel that never affects the response
+/// bytes: whether a certified fix was produced *by this computation*
+/// (feeds `racellm_fix_certified_total`; cache hits replay the body
+/// without re-certifying, so they do not move that counter).
+pub fn fix_code_traced(source: &str) -> (FixResponse, bool) {
     let trimmed = minic::trim_comments(source);
     let report = repair::fix(&trimmed.code, &repair::RepairConfig::default());
 
@@ -105,7 +103,7 @@ pub fn fix_code_traced(source: &str) -> (FixResponse, bool, bool) {
         candidates_tried: report.candidates_tried,
         fix,
     };
-    (resp, report.fell_back, certified)
+    (resp, certified)
 }
 
 /// The canonical serialized response for a kernel — exactly the bytes
@@ -114,15 +112,10 @@ pub fn fix_body(source: &str) -> String {
     fix_body_traced(source).0
 }
 
-/// [`fix_body`] plus the two side-channel flags (see
-/// [`fix_code_traced`]).
-pub fn fix_body_traced(source: &str) -> (String, bool, bool) {
-    let (resp, fell_back, certified) = fix_code_traced(source);
-    (
-        serde_json::to_string(&resp).expect("response serialization is infallible"),
-        fell_back,
-        certified,
-    )
+/// [`fix_body`] plus the certified flag (see [`fix_code_traced`]).
+pub fn fix_body_traced(source: &str) -> (String, bool) {
+    let (resp, certified) = fix_code_traced(source);
+    (serde_json::to_string(&resp).expect("response serialization is infallible"), certified)
 }
 
 #[cfg(test)]
@@ -134,7 +127,7 @@ mod tests {
 
     #[test]
     fn racy_kernel_gets_a_certified_wire_fix() {
-        let (r, _fell_back, certified) = fix_code_traced(RACY_SUM);
+        let (r, certified) = fix_code_traced(RACY_SUM);
         assert!(r.parse_ok);
         assert_eq!(r.outcome, "fixed");
         assert!(certified);
@@ -147,7 +140,7 @@ mod tests {
 
     #[test]
     fn clean_kernel_reports_clean() {
-        let (r, _, certified) = fix_code_traced(CLEAN);
+        let (r, certified) = fix_code_traced(CLEAN);
         assert_eq!(r.outcome, "clean");
         assert!(!certified);
         assert!(r.fix.is_none());
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn unparseable_kernel_degrades() {
-        let (r, _, certified) = fix_code_traced("int main() {");
+        let (r, certified) = fix_code_traced("int main() {");
         assert_eq!(r.outcome, "unparseable");
         assert!(!r.parse_ok && !certified);
         assert!(r.verdicts.is_none());

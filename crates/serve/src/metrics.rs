@@ -143,10 +143,6 @@ pub struct Metrics {
     pub deadline_expired_total: Counter,
     /// Jobs a worker skipped because they were already expired.
     pub worker_expired_total: Counter,
-    /// Analyses whose dynamic sweep fell back from the bytecode
-    /// executor to the AST interpreter (lowering rejected the kernel,
-    /// or the executor erred and the interpreter re-ran it).
-    pub oracle_fallbacks_total: Counter,
     /// `POST /v1/fix` requests handled (any status, cache hits
     /// included).
     pub fix_requests_total: Counter,
@@ -182,7 +178,6 @@ impl Metrics {
             queue_rejected_total: Counter::default(),
             deadline_expired_total: Counter::default(),
             worker_expired_total: Counter::default(),
-            oracle_fallbacks_total: Counter::default(),
             fix_requests_total: Counter::default(),
             fix_certified_total: Counter::default(),
             queue_depth: Gauge::default(),
@@ -238,7 +233,6 @@ impl Metrics {
             ("racellm_queue_rejected_total", &self.queue_rejected_total),
             ("racellm_deadline_expired_total", &self.deadline_expired_total),
             ("racellm_worker_expired_total", &self.worker_expired_total),
-            ("racellm_oracle_fallbacks_total", &self.oracle_fallbacks_total),
             ("racellm_fix_requests_total", &self.fix_requests_total),
             ("racellm_fix_certified_total", &self.fix_certified_total),
             ("racellm_batches_total", &self.batches_total),

@@ -401,17 +401,11 @@ fn worker_loop(shared: &Arc<Shared>) -> usize {
         let work: Vec<(JobKind, &str)> = live.iter().map(|j| (j.kind, j.code.as_str())).collect();
         let fan = cfg.batch_parallelism.clamp(1, work.len());
         let bodies = par::par_map(&work, fan, |(kind, c)| match kind {
-            JobKind::Analyze => {
-                let (body, fell_back) = analyze::response_body_traced(c);
-                (body, fell_back, false)
-            }
+            JobKind::Analyze => (analyze::response_body(c), false),
             JobKind::Fix => fixer::fix_body_traced(c),
         });
 
-        for (job, (body, fell_back, certified)) in live.iter().zip(bodies) {
-            if fell_back {
-                shared.metrics.oracle_fallbacks_total.inc();
-            }
+        for (job, (body, certified)) in live.iter().zip(bodies) {
             if certified {
                 shared.metrics.fix_certified_total.inc();
             }

@@ -148,9 +148,20 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
         client.request("GET", "/healthz", &[], b"").map_err(|e| format!("healthz: {e}"))?;
     ensure(status == 200, "healthz answers after the deep request")?;
 
+    // 9. A builtin called with too few arguments is a runtime error of
+    //    the kernel, not a dead worker: 200, and the pool still serves.
+    let (status, body) = post_analyze(&mut client, "int main() { return sqrt(); }", &[])?;
+    ensure(status == 200, "arity-error analyze returns 200")?;
+    ensure(body.contains("\"dynamic\":null"), "arity error leaves no dynamic verdict")?;
+    let (status, _) =
+        client.request("GET", "/healthz", &[], b"").map_err(|e| format!("healthz: {e}"))?;
+    ensure(status == 200, "healthz answers after the arity error")?;
+    let (status, _) = post_analyze(&mut client, "int x; int main() { x = 1; return x; }", &[])?;
+    ensure(status == 200, "analyze still served after the arity error")?;
+
     let _ = writeln!(
         out,
-        "serve smoke ok: healthz + 2 analyze + 2 fix (cached repeats byte-identical) + 504 deadline + 400 malformed + 1 too-deep on {}",
+        "serve smoke ok: healthz + 2 analyze + 2 fix (cached repeats byte-identical) + 504 deadline + 400 malformed + 1 too-deep + 1 arity error on {}",
         h.addr()
     );
     Ok(())

@@ -117,6 +117,15 @@ fn shapes_at_the_budget_are_served() {
 }
 
 #[test]
+fn runaway_recursion_is_a_runtime_error() {
+    let code = "int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }\nint main() { return f(1000000); }\n";
+    let (analyze, fix) = serve_on_small_stack(code.to_string());
+    assert!(analyze.contains("\"parse_ok\":true"), "{analyze}");
+    assert!(analyze.contains("\"dynamic\":null"), "{analyze}");
+    assert!(fix.contains("\"parse_ok\":true"), "{fix}");
+}
+
+#[test]
 fn shapes_past_the_budget_are_unparseable() {
     for shape in &SHAPES {
         let code = (shape.kernel)(shape.repro.max(MAX_DEPTH + 1));

@@ -21,8 +21,8 @@ pub const DEFAULT_SEEDS: [u64; 3] = [1, 7, 23];
 pub struct Verdicts {
     /// `racecheck` static verdict.
     pub stat: bool,
-    /// `hbsan` dynamic verdict; `None` when the interpreter could not
-    /// execute the kernel (fuel, bad address, …).
+    /// `hbsan` dynamic verdict; `None` when the kernel could not be
+    /// executed (fuel, bad address, …).
     pub dynv: Option<bool>,
     /// Surrogate-LLM feature verdict (GPT-4 analysis depth).
     pub llm: bool,
@@ -60,10 +60,6 @@ pub struct Evidence {
     pub dynamic: Option<DynReport>,
     /// One verdict per detector.
     pub verdicts: Verdicts,
-    /// True when any seed ran on the AST interpreter instead of the
-    /// bytecode executor, or the sweep failed. A side channel for
-    /// metrics; it never influences a verdict.
-    pub fell_back: bool,
 }
 
 /// Run the detector stack on an analyzed kernel; `None` when it does
@@ -77,17 +73,13 @@ pub fn detect(artifact: &AnalyzedKernel) -> Option<Evidence> {
         &hbsan::Config::default(),
         &DEFAULT_SEEDS,
     );
-    let (dynamic, fell_back) = match sweep {
-        Ok(s) => (Some(s.report), s.fell_back),
-        // Even the interpreter fallback could not execute the kernel.
-        Err(_) => (None, true),
-    };
+    let dynamic = sweep.ok().map(|s| s.report);
     let verdicts = Verdicts {
         stat: stat.has_race(),
         dynv: dynamic.as_ref().map(DynReport::has_race),
         llm: llm::feature_verdict(&artifact.features, ModelKind::Gpt4),
     };
-    Some(Evidence { stat, dynamic, verdicts, fell_back })
+    Some(Evidence { stat, dynamic, verdicts })
 }
 
 /// Parse and run all three detectors; `None` when the code no longer

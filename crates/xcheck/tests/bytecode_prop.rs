@@ -5,14 +5,12 @@
 //!
 //! Two layers of agreement:
 //!
-//! * **raw runs** — when lowering succeeds, `run_program` must be
+//! * **raw runs** — every kernel lowers, and `run_program` must be
 //!   observationally identical to `hbsan::run` (trace, printed output,
-//!   exit code, schedule-sensitivity flag), and must err iff the
-//!   interpreter errs;
-//! * **verdicts** — the compiled sweep (which silently falls back to
-//!   the interpreter on rejection) must reach the interpreter sweep's
-//!   verdict whether or not lowering succeeded. Sections kernels
-//!   exercise the rejection path by construction.
+//!   exit code, schedule-sensitivity flag), and must fail with the
+//!   interpreter's error exactly when the interpreter fails;
+//! * **verdicts** — the compiled sweep must reach the interpreter
+//!   sweep's verdict.
 
 use hbsan::Config;
 use proptest::prelude::*;
@@ -20,31 +18,29 @@ use proptest::prelude::*;
 /// Raw-run and verdict agreement for one parsed unit under one seed.
 fn assert_equiv(unit: &minic::TranslationUnit, sched_seed: u64) -> Result<(), TestCaseError> {
     let cfg = Config { seed: sched_seed, ..Config::default() };
-    let prog = hbsan::lower(unit).ok();
+    let prog = hbsan::lower(unit);
 
-    if let Some(p) = &prog {
-        match (hbsan::run_program(p, &cfg), hbsan::run(unit, &cfg)) {
-            (Ok(f), Ok(s)) => {
-                prop_assert_eq!(&f.trace, &s.trace, "trace diverges");
-                prop_assert_eq!(&f.printed, &s.printed, "printed output diverges");
-                prop_assert_eq!(f.exit, s.exit, "exit code diverges");
-                prop_assert_eq!(
-                    f.schedule_sensitive,
-                    s.schedule_sensitive,
-                    "schedule-sensitivity flag diverges"
-                );
-            }
-            (Err(_), Err(_)) => {}
-            (f, s) => {
-                return Err(TestCaseError::Fail(format!(
-                    "error mismatch: exec {f:?} vs interp {s:?}"
-                )));
-            }
+    match (hbsan::run_program(&prog, &cfg), hbsan::run(unit, &cfg)) {
+        (Ok(f), Ok(s)) => {
+            prop_assert_eq!(&f.trace, &s.trace, "trace diverges");
+            prop_assert_eq!(&f.printed, &s.printed, "printed output diverges");
+            prop_assert_eq!(f.exit, s.exit, "exit code diverges");
+            prop_assert_eq!(
+                f.schedule_sensitive,
+                s.schedule_sensitive,
+                "schedule-sensitivity flag diverges"
+            );
+        }
+        (Err(f), Err(s)) => prop_assert_eq!(f, s, "errors diverge"),
+        (f, s) => {
+            return Err(TestCaseError::Fail(format!(
+                "error mismatch: exec {f:?} vs interp {s:?}"
+            )));
         }
     }
 
     let seeds = [sched_seed, sched_seed ^ 0x9E37];
-    let compiled = hbsan::check_adversarial_compiled(unit, prog.as_ref(), &cfg, &seeds)
+    let compiled = hbsan::check_adversarial_compiled(unit, Some(&prog), &cfg, &seeds)
         .ok()
         .map(|s| s.report.has_race());
     let reference = hbsan::check_adversarial(unit, &cfg, &seeds).ok().map(|r| r.has_race());
