@@ -71,8 +71,7 @@ fn ablate_finetune(c: &mut Criterion) {
 fn ablate_schedules(c: &mut Criterion) {
     // Dynamic-checker sensitivity to the number of explored schedules.
     // `schedule(dynamic, 4)` keeps the kernel seed-sensitive, so the
-    // sweep cannot short-circuit; `check_adversarial` fans the extra
-    // seeds out over RACELLM_WORKERS internally.
+    // sweep cannot short-circuit; `check_adversarial` runs every seed.
     let racy = "int a[100]; int main(void) {\n#pragma omp parallel for schedule(dynamic, 4)\nfor (int i=0;i<99;i++) a[i]=a[i+1];\n return 0; }";
     let unit = minic::parse(racy).unwrap();
     let mut g = c.benchmark_group("ablate_schedules");

@@ -172,8 +172,9 @@ fn bench_dynamic_oracle(c: &mut Criterion) {
     // Full-corpus adversarial sweep (3 schedule seeds per kernel).
     // `pre_pr_serial` models the old oracle: every seed re-executed and
     // analyzed with the full-VC event-list path, no seed-insensitivity
-    // short-circuit. The epoch rows use the shipping `check_adversarial`
-    // machinery at 1 worker and at the RACELLM_WORKERS default.
+    // short-circuit. The epoch rows use the shipping `check_adversarial`,
+    // one kernel at a time and with kernels fanned over the
+    // RACELLM_WORKERS default.
     let seeds = [1u64, 7, 23];
     let units: Vec<(&str, minic::TranslationUnit)> = drb_gen::corpus()
         .iter()
@@ -200,7 +201,7 @@ fn bench_dynamic_oracle(c: &mut Criterion) {
             let races = units
                 .iter()
                 .filter(|(_, unit)| {
-                    hbsan::check_adversarial_with_workers(unit, &hbsan::Config::default(), &seeds, 1)
+                    hbsan::check_adversarial(unit, &hbsan::Config::default(), &seeds)
                         .map(|r| r.has_race())
                         .unwrap_or(false)
                 })

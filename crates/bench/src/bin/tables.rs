@@ -136,9 +136,9 @@ fn write_out(dir: &str) {
 /// * `pre_pr_serial` — the old oracle path: every seed re-executed and
 ///   analyzed with the full-vector-clock event-list analyzer, no
 ///   seed-insensitivity short-circuit, one kernel at a time.
-/// * `epoch_serial` — the shipping `check_adversarial` machinery pinned
-///   to 1 worker (interned traces + epoch cells + short-circuit).
-/// * `epoch_parallel` — the same, fanned over `RACELLM_WORKERS`.
+/// * `epoch_serial` — the shipping `check_adversarial`, one kernel at a
+///   time (interned traces + epoch cells + short-circuit).
+/// * `epoch_parallel` — the same, kernels fanned over `RACELLM_WORKERS`.
 fn write_bench_json(path: &str) {
     const SEEDS: [u64; 3] = [1, 7, 23];
     let units: Vec<minic::TranslationUnit> = drb_gen::corpus()
@@ -176,7 +176,7 @@ fn write_bench_json(path: &str) {
         units
             .iter()
             .filter(|unit| {
-                hbsan::check_adversarial_with_workers(unit, &hbsan::Config::default(), &SEEDS, 1)
+                hbsan::check_adversarial(unit, &hbsan::Config::default(), &SEEDS)
                     .map(|r| r.has_race())
                     .unwrap_or(false)
             })
@@ -201,12 +201,11 @@ fn write_bench_json(path: &str) {
             .iter()
             .zip(&progs)
             .filter(|(unit, prog)| {
-                hbsan::check_adversarial_compiled_with_workers(
+                hbsan::check_adversarial_compiled(
                     unit,
                     Some(prog),
                     &hbsan::Config::default(),
                     &SEEDS,
-                    1,
                 )
                 .map(|s| s.report.has_race())
                 .unwrap_or(false)

@@ -1,7 +1,8 @@
 //! The epoch fast path must be **observationally identical** to the
 //! reference full-vector-clock analyzer on the entire corpus: same
 //! `DynReport` (races, sites, order) for every kernel × schedule seed,
-//! and the parallel adversarial sweep must not depend on worker count.
+//! and the adversarial sweep must equal the seed-order merge of
+//! single-seed checks.
 
 use drb_gen::{corpus, Kernel, ToolBehavior};
 use hbsan::{analyze, analyze_reference, Config};
@@ -53,24 +54,22 @@ fn epoch_path_matches_reference_on_every_corpus_kernel() {
 }
 
 #[test]
-fn adversarial_sweep_worker_count_invariant_across_corpus() {
+fn adversarial_sweep_matches_seed_order_merge_across_corpus() {
     let kernels: Vec<&Kernel> = corpus()
         .iter()
         .filter(|k| k.behavior != ToolBehavior::DynUnmodeled)
         .collect();
     let diffs: Vec<String> = par::par_map(&kernels, par::default_workers(), |k| {
         let unit = minic::parse(&k.trimmed_code).ok()?;
-        let cfg = Config::default();
-        let serial = hbsan::check_adversarial_with_workers(&unit, &cfg, &SEEDS, 1);
-        let parallel = hbsan::check_adversarial_with_workers(&unit, &cfg, &SEEDS, 4);
-        match (serial, parallel) {
-            (Ok(a), Ok(b)) if a == b => None,
-            (Err(ea), Err(eb)) if ea == eb => None,
-            (a, b) => Some(format!("{}: workers=1 {a:?} vs workers=4 {b:?}", k.name)),
-        }
+        let swept = hbsan::check_adversarial(&unit, &Config::default(), &SEEDS);
+        let merged = SEEDS.iter().try_fold(hbsan::DynReport::default(), |mut acc, &seed| {
+            acc.merge(hbsan::check(&unit, &Config { seed, ..Config::default() })?);
+            Ok(acc)
+        });
+        (swept != merged).then(|| format!("{}: sweep {swept:?} vs merge {merged:?}", k.name))
     })
     .into_iter()
     .flatten()
     .collect();
-    assert!(diffs.is_empty(), "sweep depends on workers:\n{}", diffs.join("\n"));
+    assert!(diffs.is_empty(), "sweep diverges from the per-seed merge:\n{}", diffs.join("\n"));
 }

@@ -20,11 +20,11 @@
 //!
 //! Running multiple seeds (`check_adversarial`) varies worksharing
 //! assignment and single-winner choices like re-running a real binary.
-//! The sweep is parallelized across seeds (`RACELLM_WORKERS` caps the
-//! worker count) and short-circuits when the first run never consulted
-//! the scheduler RNG — static schedules are seed-independent, so one run
-//! already covers every seed. Results are byte-identical to the serial
-//! sweep at any worker count.
+//! The sweep runs the seeds in order on the calling thread and
+//! short-circuits when the first run never consulted the scheduler RNG —
+//! static schedules are seed-independent, so one run already covers
+//! every seed. Parallelism belongs to callers that fan out over kernels
+//! or requests.
 //!
 //! ```
 //! let report = hbsan::check_source(r#"
@@ -86,28 +86,16 @@ pub fn check_source(src: &str, cfg: &Config) -> Result<DynReport, Box<dyn std::e
 /// [`check_adversarial_compiled`].
 ///
 /// Equivalent to running [`check`] per seed and merging in seed order,
-/// but: (1) if the first run never consulted the scheduler RNG, the
+/// except that if the first run never consulted the scheduler RNG, the
 /// kernel is seed-insensitive and the remaining seeds are skipped — each
-/// would replay the identical trace; (2) otherwise the remaining seeds
-/// run in parallel on [`par::default_workers`] threads. Reports are
-/// merged in seed order and the first error (by seed order) wins, so the
-/// result is independent of the worker count.
+/// would replay the identical trace. Seeds run in order on the calling
+/// thread; the first error stops the sweep and is returned.
 pub fn check_adversarial(
     unit: &TranslationUnit,
     base: &Config,
     seeds: &[u64],
 ) -> Result<DynReport, RtError> {
-    check_adversarial_with_workers(unit, base, seeds, par::default_workers())
-}
-
-/// [`check_adversarial`] with an explicit worker count.
-pub fn check_adversarial_with_workers(
-    unit: &TranslationUnit,
-    base: &Config,
-    seeds: &[u64],
-    workers: usize,
-) -> Result<DynReport, RtError> {
-    sweep(seeds, workers, |seed| run(unit, &Config { seed, ..base.clone() }))
+    sweep(seeds, |seed| run(unit, &Config { seed, ..base.clone() }))
 }
 
 /// Result of a compiled adversarial sweep.
@@ -128,17 +116,6 @@ pub fn check_adversarial_compiled(
     base: &Config,
     seeds: &[u64],
 ) -> Result<CompiledSweep, RtError> {
-    check_adversarial_compiled_with_workers(unit, prog, base, seeds, par::default_workers())
-}
-
-/// [`check_adversarial_compiled`] with an explicit worker count.
-pub fn check_adversarial_compiled_with_workers(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    base: &Config,
-    seeds: &[u64],
-    workers: usize,
-) -> Result<CompiledSweep, RtError> {
     let lowered;
     let prog = match prog {
         Some(p) => p,
@@ -147,29 +124,26 @@ pub fn check_adversarial_compiled_with_workers(
             &lowered
         }
     };
-    let report = sweep(seeds, workers, |seed| run_program(prog, &Config { seed, ..base.clone() }))?;
+    let report = sweep(seeds, |seed| run_program(prog, &Config { seed, ..base.clone() }))?;
     Ok(CompiledSweep { report })
 }
 
 /// The seed loop both sweeps share: run the first seed, stop there when
-/// the run never consulted the scheduler RNG, else fan the rest over
-/// `workers` threads and merge in seed order (first error wins).
+/// the run never consulted the scheduler RNG, else run the rest in seed
+/// order and merge (the first error stops the sweep).
 fn sweep(
     seeds: &[u64],
-    workers: usize,
-    run_seed: impl Fn(u64) -> Result<RunOutput, RtError> + Sync,
+    mut run_seed: impl FnMut(u64) -> Result<RunOutput, RtError>,
 ) -> Result<DynReport, RtError> {
     let Some((&first, rest)) = seeds.split_first() else {
         return Ok(DynReport::default());
     };
     let out = run_seed(first)?;
     let mut merged = analyze(&out.trace);
-    if !out.schedule_sensitive || rest.is_empty() {
-        return Ok(merged);
-    }
-    let results = par::par_map(rest, workers, |&seed| run_seed(seed).map(|o| analyze(&o.trace)));
-    for r in results {
-        merged.merge(r?);
+    if out.schedule_sensitive {
+        for &seed in rest {
+            merged.merge(analyze(&run_seed(seed)?.trace));
+        }
     }
     Ok(merged)
 }
@@ -364,20 +338,43 @@ int main() {
     }
 
     #[test]
-    fn adversarial_sweep_is_worker_count_independent() {
+    fn adversarial_sweeps_equal_seed_order_merge() {
         let src = "int a[100]; int main() {\n#pragma omp parallel for schedule(dynamic)\nfor (int i=0;i<99;i++) a[i]=a[i+1];\n return 0; }";
         let unit = minic::parse(src).unwrap();
         let cfg = Config::default();
         let seeds = [1u64, 7, 23, 42, 99];
-        let serial = check_adversarial_with_workers(&unit, &cfg, &seeds, 1).unwrap();
-        let parallel = check_adversarial_with_workers(&unit, &cfg, &seeds, 4).unwrap();
-        assert_eq!(serial, parallel);
-        // And both equal the definitionally-serial merge loop.
         let mut reference = DynReport::default();
         for &seed in &seeds {
             reference.merge(check(&unit, &Config { seed, ..cfg.clone() }).unwrap());
         }
-        assert_eq!(serial, reference);
+        assert_eq!(check_adversarial(&unit, &cfg, &seeds).unwrap(), reference);
+        let compiled = check_adversarial_compiled(&unit, None, &cfg, &seeds).unwrap();
+        assert_eq!(compiled.report, reference);
+    }
+
+    #[test]
+    fn sweep_returns_the_first_error_in_seed_order() {
+        let src = "int a[100]; int main() {\n#pragma omp parallel for schedule(dynamic)\nfor (int i=0;i<99;i++) a[i]=a[i+1];\n return 0; }";
+        let unit = minic::parse(src).unwrap();
+        let mut ran = Vec::new();
+        let result = sweep(&[1, 7, 23, 42], |seed| {
+            ran.push(seed);
+            match seed {
+                23 => Err(RtError::DivByZero),
+                42 => Err(RtError::FuelExhausted),
+                _ => run(&unit, &Config { seed, ..Config::default() }),
+            }
+        });
+        assert_eq!(result, Err(RtError::DivByZero));
+        assert_eq!(ran, [1, 7, 23], "no seed after the first error runs");
+
+        let mut ran = Vec::new();
+        let result = sweep(&[5, 6], |seed| {
+            ran.push(seed);
+            Err(RtError::CallTooDeep)
+        });
+        assert_eq!(result, Err(RtError::CallTooDeep));
+        assert_eq!(ran, [5]);
     }
 
     #[test]

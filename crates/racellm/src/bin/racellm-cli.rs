@@ -10,7 +10,7 @@
 //! racellm-cli fix <file.c>                repair a racy kernel, print certified patch
 //! racellm-cli fix --corpus                corpus-wide repair-rate table
 //! racellm-cli fix --smoke                 deterministic repair smoke gate
-//! racellm-cli serve [--smoke] [opts]      batched, cached HTTP detection service
+//! racellm-cli serve [--smoke] [opts]      cached HTTP detection service
 //! racellm-cli loadgen [opts]              closed-loop load generator → BENCH_serve.json
 //! ```
 
@@ -18,7 +18,7 @@ use racellm::{drb_gen, drb_ml, llm, repair, serve, xcheck, Pipeline};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  racellm-cli analyze <file.c>\n  racellm-cli modality <file.c> <source|ast|depgraph|cfg>\n  racellm-cli dataset <out_dir>\n  racellm-cli corpus\n  racellm-cli xcheck --smoke [seed]\n  racellm-cli xcheck report [seed]\n  racellm-cli fix <file.c> | --corpus | --smoke\n  racellm-cli serve [--smoke] [--addr HOST:PORT] [--workers N] [--batch-max N]\n                    [--queue-cap N] [--cache-cap N] [--deadline-ms N]\n  racellm-cli loadgen [--addr HOST:PORT] [--clients N] [--duration-secs N]\n                      [--warmup-secs N] [--out PATH]  (no --addr: self-serve)"
+        "usage:\n  racellm-cli analyze <file.c>\n  racellm-cli modality <file.c> <source|ast|depgraph|cfg>\n  racellm-cli dataset <out_dir>\n  racellm-cli corpus\n  racellm-cli xcheck --smoke [seed]\n  racellm-cli xcheck report [seed]\n  racellm-cli fix <file.c> | --corpus | --smoke\n  racellm-cli serve [--smoke] [--addr HOST:PORT] [--workers N] [--queue-cap N]\n                    [--cache-cap N] [--deadline-ms N]\n  racellm-cli loadgen [--addr HOST:PORT] [--clients N] [--duration-secs N]\n                      [--warmup-secs N] [--out PATH]  (no --addr: self-serve)"
     );
     std::process::exit(2);
 }
@@ -76,13 +76,12 @@ fn cmd_serve(args: &[String]) -> ! {
     }
     let flags = parse_flags(
         args,
-        &["--addr", "--workers", "--batch-max", "--queue-cap", "--cache-cap", "--deadline-ms"],
+        &["--addr", "--workers", "--queue-cap", "--cache-cap", "--deadline-ms"],
     );
     let defaults = serve::ServeConfig::default();
     let cfg = serve::ServeConfig {
         addr: flag_str(&flags, "--addr").unwrap_or(defaults.addr.clone()),
-        batch_workers: flag_num(&flags, "--workers", defaults.batch_workers),
-        batch_max: flag_num(&flags, "--batch-max", defaults.batch_max),
+        workers: flag_num(&flags, "--workers", defaults.workers),
         queue_capacity: flag_num(&flags, "--queue-cap", defaults.queue_capacity),
         cache_capacity: flag_num(&flags, "--cache-cap", defaults.cache_capacity),
         deadline_ms: flag_num(&flags, "--deadline-ms", defaults.deadline_ms),

@@ -118,6 +118,38 @@ impl<R: Read> Conn<R> {
         &mut self.r
     }
 
+    /// Parse the next request from the bytes already buffered, never
+    /// reading the transport: `None` while they hold no complete
+    /// request. The parser reads a request front to back, so an error
+    /// the buffered bytes already show is the error a blocking
+    /// [`read_request`] would return, and is returned as is.
+    pub fn buffered_request(&mut self, limits: &Limits) -> Option<Result<Request, RecvError>> {
+        if self.start == self.end {
+            return None;
+        }
+        let mut probe = Conn {
+            r: io::empty(),
+            buf: self.buf[self.start..self.end].to_vec(),
+            start: 0,
+            end: self.end - self.start,
+            seen: false,
+        };
+        match read_request(&mut probe, limits) {
+            Err(RecvError::Closed | RecvError::Truncated) => None,
+            r => {
+                self.start += probe.start;
+                Some(r)
+            }
+        }
+    }
+
+    /// Read once from the transport into the buffer; whether any bytes
+    /// arrived. On a non-blocking transport this takes only what is
+    /// already there.
+    pub fn fill_ready(&mut self) -> bool {
+        self.fill().is_ok()
+    }
+
     fn fill(&mut self) -> Result<(), RecvError> {
         if self.start == self.end {
             self.start = 0;
@@ -512,6 +544,45 @@ mod tests {
     #[test]
     fn eof_between_requests_is_closed() {
         assert!(matches!(parse(b""), Err(RecvError::Closed)));
+    }
+
+    /// A transport that hands out one chunk per read.
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let chunk = self.0.remove(0);
+            out[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn buffered_request_takes_only_complete_requests() {
+        let first = b"GET /healthz HTTP/1.1\r\n\r\n".to_vec();
+        let second = b"POST /v1/fix HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello".to_vec();
+        let third = b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc";
+        let (head, tail) = third.split_at(30);
+        let limits = Limits::default();
+        let mut conn =
+            Conn::new(Chunks(vec![[first, second, head.to_vec()].concat(), tail.to_vec()]));
+
+        assert!(conn.buffered_request(&limits).is_none(), "nothing read yet");
+        assert!(conn.fill_ready());
+        assert_eq!(conn.buffered_request(&limits).unwrap().unwrap().target, "/healthz");
+        assert_eq!(conn.buffered_request(&limits).unwrap().unwrap().body, b"hello");
+        assert!(conn.buffered_request(&limits).is_none(), "third request is partial");
+        // The partial bytes stay buffered for the blocking read.
+        let r = read_request(&mut conn, &limits).unwrap();
+        assert_eq!((r.target.as_str(), r.body.as_slice()), ("/v1/analyze", &b"abc"[..]));
+        assert!(matches!(read_request(&mut conn, &limits), Err(RecvError::Closed)));
+
+        let mut conn = Conn::new(Cursor::new(b"NOT A REQUEST AT ALL\r\n".to_vec()));
+        assert!(conn.fill_ready());
+        assert!(matches!(conn.buffered_request(&limits), Some(Err(RecvError::Malformed(_)))));
     }
 
     #[test]

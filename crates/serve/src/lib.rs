@@ -1,15 +1,15 @@
-//! `racellm-serve` — a batched, cached, backpressured HTTP detection
-//! service over the workspace's three race detectors.
+//! `racellm-serve` — a cached, backpressured HTTP detection service
+//! over the workspace's three race detectors.
 //!
 //! Every detector in the repo was previously reachable only through
 //! one-shot CLI table runs; this crate gives the pipeline the shape of
 //! a real inference stack (DESIGN.md §10):
 //!
 //! ```text
-//!          ┌────────────┐   miss   ┌───────────────┐  batch  ┌───────────┐
+//!          ┌────────────┐   miss   ┌───────────────┐ one job ┌───────────┐
 //! conns ──▶│ HTTP/1.1   │─────────▶│ bounded queue │────────▶│ worker    │
 //!          │ keep-alive │◀── hit ──│ (429 + Retry- │◀─reply──│ pool ×W   │
-//!          │ handlers   │  ┌─────┐ │  After: full) │         │ par_map   │
+//!          │ handlers   │  ┌─────┐ │  After: full) │         │ (inline)  │
 //!          └────────────┘  │ LRU │ └───────────────┘         └───────────┘
 //!                          └─────┘      sharded cache, byte-identical
 //! ```
@@ -24,14 +24,15 @@
 //! * [`fixer`] — the deterministic kernel → certified-patch engine
 //!   behind `POST /v1/fix` (the `repair` crate's detect → fix → verify
 //!   loop, certificates shipped verbatim);
-//! * [`server`] — acceptor, connection handlers, micro-batching worker
-//!   pool, graceful drain;
+//! * [`server`] — acceptor, connection handlers, worker pool, graceful
+//!   drain;
 //! * [`loadgen`] — a closed-loop socket-level load generator emitting
 //!   `BENCH_serve.json`;
 //! * [`smoke`] — the tier-1 `racellm-cli serve --smoke` gate.
 
 #![warn(missing_docs)]
 
+mod affinity;
 pub mod analyze;
 pub mod cache;
 pub mod fixer;
@@ -48,14 +49,8 @@ pub mod smoke;
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Number of micro-batching worker threads draining the queue.
-    pub batch_workers: usize,
-    /// Fan-out width *inside* one batch (`par::par_map` workers).
-    pub batch_parallelism: usize,
-    /// Largest batch one worker coalesces per queue pop.
-    pub batch_max: usize,
-    /// How long a worker lingers for stragglers after a partial pop.
-    pub batch_linger_micros: u64,
+    /// Worker threads draining the queue; each runs one job at a time.
+    pub workers: usize,
     /// Queue capacity; pushes beyond it are rejected with HTTP 429.
     pub queue_capacity: usize,
     /// Total cached responses across all shards.
@@ -79,10 +74,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:8077".to_string(),
-            batch_workers: 2,
-            batch_parallelism: par::default_workers(),
-            batch_max: 16,
-            batch_linger_micros: 200,
+            workers: par::default_workers(),
             queue_capacity: 256,
             cache_capacity: 4096,
             cache_shards: 8,

@@ -8,8 +8,8 @@
 //! the steady warm-cache state the acceptance criteria target. Latency
 //! is recorded per request in the measured window only; the report
 //! (written to `BENCH_serve.json`) carries throughput, p50/p90/p99,
-//! per-status counts, the cache hit rate over the window, and the
-//! batch-size distribution scraped from `/metrics`.
+//! per-status counts, and the cache hit rate over the window scraped
+//! from `/metrics`.
 
 use crate::analyze::AnalyzeRequest;
 use crate::http::client::Client;
@@ -99,10 +99,6 @@ pub struct LoadReport {
     pub status: StatusCounts,
     /// Cache hit rate over the measured window (from `/metrics` deltas).
     pub cache_hit_rate: f64,
-    /// Cumulative batch-size histogram from `/metrics` (bound → count).
-    pub batch_size_buckets: Vec<(String, u64)>,
-    /// Mean batch size over the server's lifetime.
-    pub mean_batch_size: f64,
 }
 
 const PHASE_WARMUP: u8 = 0;
@@ -230,20 +226,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
     let misses = delta("racellm_cache_misses_total");
     let cache_hit_rate = if hits + misses > 0.0 { hits / (hits + misses) } else { 0.0 };
 
-    let mut batch_size_buckets = Vec::new();
-    for line in post.lines() {
-        if let Some(rest) = line.strip_prefix("racellm_batch_size_bucket{le=\"") {
-            if let Some((bound, count)) = rest.split_once("\"} ") {
-                if let Ok(n) = count.trim().parse::<u64>() {
-                    batch_size_buckets.push((bound.to_string(), n));
-                }
-            }
-        }
-    }
-    let batches = scrape_value(&post, "racellm_batch_size_count").unwrap_or(0.0);
-    let batched_jobs = scrape_value(&post, "racellm_batch_size_sum").unwrap_or(0.0);
-    let mean_batch_size = if batches > 0.0 { batched_jobs / batches } else { 0.0 };
-
     let requests_done = latencies.len() as u64;
     let report = LoadReport {
         bench: "serve_closed_loop".to_string(),
@@ -261,8 +243,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
         },
         status,
         cache_hit_rate,
-        batch_size_buckets,
-        mean_batch_size,
     };
 
     if let Some(path) = &cfg.out {
@@ -275,7 +255,7 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadReport> {
 /// One-line human summary of a report.
 pub fn summarize(r: &LoadReport) -> String {
     format!(
-        "{} clients × {:.1}s: {} requests, {:.0} req/s, p50 {:.2}ms p99 {:.2}ms, cache hit rate {:.1}%, mean batch {:.2}, 5xx {}",
+        "{} clients × {:.1}s: {} requests, {:.0} req/s, p50 {:.2}ms p99 {:.2}ms, cache hit rate {:.1}%, 5xx {}",
         r.clients,
         r.duration_secs,
         r.requests,
@@ -283,7 +263,6 @@ pub fn summarize(r: &LoadReport) -> String {
         r.latency_ms.p50,
         r.latency_ms.p99,
         r.cache_hit_rate * 100.0,
-        r.mean_batch_size,
         r.status.server_5xx,
     )
 }

@@ -122,8 +122,6 @@ pub fn route_index(target: &str) -> usize {
 /// Request-latency bucket bounds (seconds).
 pub static LATENCY_BOUNDS: [f64; 12] =
     [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5];
-/// Batch-size bucket bounds (requests per batch).
-pub static BATCH_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// The service's full metric tree.
 #[derive(Debug)]
@@ -152,10 +150,9 @@ pub struct Metrics {
     pub fix_certified_total: Counter,
     /// Queue depth after the most recent push/pop.
     pub queue_depth: Gauge,
-    /// Micro-batches executed.
-    pub batches_total: Counter,
-    /// Requests per micro-batch.
-    pub batch_size: Histogram,
+    /// Time from admission to a worker's pop, once per popped job,
+    /// expired jobs included (seconds).
+    pub queue_wait_seconds: Histogram,
     /// End-to-end latency of analyze requests (seconds).
     pub request_seconds: Histogram,
 }
@@ -181,8 +178,7 @@ impl Metrics {
             fix_requests_total: Counter::default(),
             fix_certified_total: Counter::default(),
             queue_depth: Gauge::default(),
-            batches_total: Counter::default(),
-            batch_size: Histogram::new(&BATCH_BOUNDS),
+            queue_wait_seconds: Histogram::new(&LATENCY_BOUNDS),
             request_seconds: Histogram::new(&LATENCY_BOUNDS),
         }
     }
@@ -235,7 +231,6 @@ impl Metrics {
             ("racellm_worker_expired_total", &self.worker_expired_total),
             ("racellm_fix_requests_total", &self.fix_requests_total),
             ("racellm_fix_certified_total", &self.fix_certified_total),
-            ("racellm_batches_total", &self.batches_total),
         ] {
             let _ = writeln!(w, "# TYPE {name} counter\n{name} {}", c.get());
         }
@@ -255,7 +250,7 @@ impl Metrics {
             let _ = writeln!(w, "# TYPE {name} counter\n{name} {v}");
         }
         self.request_seconds.render("racellm_request_seconds", w);
-        self.batch_size.render("racellm_batch_size", w);
+        self.queue_wait_seconds.render("racellm_queue_wait_seconds", w);
         out
     }
 }
@@ -299,14 +294,14 @@ mod tests {
 
     #[test]
     fn histogram_is_cumulative() {
-        let h = Histogram::new(&BATCH_BOUNDS);
-        h.observe(1.0);
-        h.observe(3.0);
+        let h = Histogram::new(&LATENCY_BOUNDS);
+        h.observe(0.001);
+        h.observe(0.003);
         h.observe(100.0);
         let mut out = String::new();
         h.render("x", &mut out);
-        assert!(out.contains("x_bucket{le=\"1\"} 1"));
-        assert!(out.contains("x_bucket{le=\"4\"} 2"));
+        assert!(out.contains("x_bucket{le=\"0.001\"} 1"));
+        assert!(out.contains("x_bucket{le=\"0.005\"} 2"));
         assert!(out.contains("x_bucket{le=\"+Inf\"} 3"));
         assert!(out.contains("x_count 3"));
     }
@@ -319,5 +314,19 @@ mod tests {
         assert_eq!(scrape_value(&text, "racellm_deadline_expired_total"), Some(1.0));
         assert_eq!(scrape_value(&text, "racellm_cache_hits_total"), Some(0.0));
         assert_eq!(scrape_value(&text, "racellm_not_a_metric"), None);
+    }
+
+    #[test]
+    fn queue_wait_histogram_renders_and_scrapes() {
+        let m = Metrics::new();
+        m.queue_wait_seconds.observe(0.0002);
+        m.queue_wait_seconds.observe(0.004);
+        let text = m.render(&no_cache());
+        assert!(text.contains("# TYPE racellm_queue_wait_seconds histogram"));
+        assert!(text.contains("racellm_queue_wait_seconds_bucket{le=\"0.0005\"} 1"));
+        assert!(text.contains("racellm_queue_wait_seconds_bucket{le=\"+Inf\"} 2"));
+        assert_eq!(scrape_value(&text, "racellm_queue_wait_seconds_count"), Some(2.0));
+        assert_eq!(scrape_value(&text, "racellm_queue_wait_seconds_sum"), Some(0.0042));
+        assert!(!text.contains("racellm_batch"));
     }
 }

@@ -1,12 +1,11 @@
-//! Bounded job queue with admission control and batch pops.
+//! Bounded job queue with admission control.
 //!
 //! The queue is the service's backpressure point: connection handlers
 //! `try_push` (never block — a full queue is an immediate HTTP 429 with
-//! `Retry-After`), workers pop *batches* (one blocking wait for the
-//! first job, then a greedy drain plus an optional linger window to
-//! coalesce stragglers). `close` flips drain mode: pushes are refused
-//! but pops keep returning queued jobs until the queue is empty, so a
-//! graceful shutdown finishes everything that was admitted.
+//! `Retry-After`), workers `pop` one job at a time in FIFO order.
+//! `close` flips drain mode: pushes are refused but pops keep returning
+//! queued jobs until the queue is empty, so a graceful shutdown finishes
+//! everything that was admitted.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -59,39 +58,20 @@ impl<T> Bounded<T> {
         Ok(depth)
     }
 
-    /// Pop up to `max` items: block (in `poll`-sized waits, so closing
-    /// wakes us promptly) until at least one item is available, drain
-    /// greedily, then optionally linger once for stragglers. Returns
-    /// `None` only when the queue is closed *and* empty.
-    pub fn pop_batch(&self, max: usize, linger: Duration, poll: Duration) -> Option<Vec<T>> {
-        let max = max.max(1);
+    /// Pop the oldest item, blocking (in `poll`-sized waits, so closing
+    /// wakes us promptly) until one is available. Returns `None` only
+    /// when the queue is closed *and* empty.
+    pub fn pop(&self, poll: Duration) -> Option<T> {
         let mut s = self.state.lock().expect("queue poisoned");
         loop {
-            if !s.items.is_empty() {
-                break;
+            if let Some(x) = s.items.pop_front() {
+                return Some(x);
             }
             if s.closed {
                 return None;
             }
             s = self.not_empty.wait_timeout(s, poll).expect("queue poisoned").0;
         }
-        let mut out = Vec::with_capacity(max.min(s.items.len()));
-        while out.len() < max {
-            match s.items.pop_front() {
-                Some(x) => out.push(x),
-                None => break,
-            }
-        }
-        if out.len() < max && !linger.is_zero() && !s.closed {
-            s = self.not_empty.wait_timeout(s, linger).expect("queue poisoned").0;
-            while out.len() < max {
-                match s.items.pop_front() {
-                    Some(x) => out.push(x),
-                    None => break,
-                }
-            }
-        }
-        Some(out)
     }
 
     /// Refuse new pushes; wake all waiting workers.
@@ -115,7 +95,6 @@ impl<T> Bounded<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
 
     const POLL: Duration = Duration::from_millis(20);
 
@@ -130,15 +109,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_pop_coalesces_backlog() {
+    fn pop_is_fifo_one_at_a_time() {
         let q = Bounded::new(16);
         for i in 0..10 {
             q.try_push(i).unwrap();
         }
-        let batch = q.pop_batch(4, Duration::ZERO, POLL).unwrap();
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        let batch = q.pop_batch(32, Duration::ZERO, POLL).unwrap();
-        assert_eq!(batch.len(), 6);
+        assert_eq!(q.pop(POLL), Some(0));
+        assert_eq!(q.len(), 9);
+        let rest: Vec<i32> = (0..9).map(|_| q.pop(POLL).unwrap()).collect();
+        assert_eq!(rest, (1..10).collect::<Vec<_>>());
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -147,34 +127,18 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
-        assert_eq!(q.pop_batch(1, Duration::ZERO, POLL).unwrap(), vec![1]);
-        assert_eq!(q.pop_batch(8, Duration::ZERO, POLL).unwrap(), vec![2]);
-        assert!(q.pop_batch(8, Duration::ZERO, POLL).is_none());
+        assert_eq!(q.pop(POLL), Some(1));
+        assert_eq!(q.pop(POLL), Some(2));
+        assert!(q.pop(POLL).is_none());
     }
 
     #[test]
     fn close_wakes_blocked_workers() {
         let q = Arc::new(Bounded::<u32>::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(4, Duration::ZERO, POLL));
+        let h = std::thread::spawn(move || q2.pop(POLL));
         std::thread::sleep(Duration::from_millis(5));
         q.close();
         assert!(h.join().unwrap().is_none());
-    }
-
-    #[test]
-    fn linger_picks_up_stragglers() {
-        let q = Arc::new(Bounded::new(8));
-        q.try_push(1u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.try_push(2).unwrap();
-        });
-        let t0 = Instant::now();
-        let batch = q.pop_batch(4, Duration::from_millis(200), POLL).unwrap();
-        pusher.join().unwrap();
-        assert!(batch == vec![1, 2] || batch == vec![1], "{batch:?}");
-        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

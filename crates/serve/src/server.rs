@@ -1,29 +1,35 @@
-//! Acceptor, connection handlers, micro-batching worker pool, and
-//! graceful drain — the service's process shape.
+//! Acceptor, connection handlers, worker pool, and graceful drain —
+//! the service's process shape.
 //!
-//! Threading model (DESIGN.md §10): one non-blocking acceptor polls the
-//! listener and spawns a handler thread per connection (capped —
-//! excess connections get an immediate 503). Handlers parse requests,
-//! serve cache hits inline, and enqueue misses as [`Job`]s on the
-//! bounded queue, then wait on a rendezvous channel with the request's
-//! deadline (504 on expiry, 429 + `Retry-After` when the queue refuses
-//! admission). A small pool of batch workers pops coalesced batches and
-//! fans each over [`par::par_map`], inserting every result into the
-//! cache before replying.
+//! Threading model (DESIGN.md §10): one acceptor blocks on the listener
+//! and spawns a handler thread per connection (capped — excess
+//! connections get an immediate 503). Handlers parse requests, serve
+//! cache hits inline, and enqueue misses as [`Job`]s on the bounded
+//! queue (429 + `Retry-After` when the queue refuses admission). While
+//! a connection's oldest response waits on its job, the handler reads
+//! ahead the requests that have fully arrived (HTTP/1.1 pipelining, up
+//! to `PIPELINE_DEPTH` owed responses), so one connection's misses
+//! can run on every worker; responses still go out in request order,
+//! each awaited on its rendezvous channel until the request's deadline
+//! (504 on expiry). A fixed pool of long-lived workers pops one job at
+//! a time, runs it to completion on its own thread, inserts the result
+//! into the cache, and replies at once. With one worker per usable CPU
+//! (the default), each worker is pinned to its own CPU.
 //!
-//! Shutdown is a drain, not an abort: the acceptor stops, handlers
-//! finish their in-flight request and close on the next poll tick,
-//! the queue closes and the workers run it dry, and only then does
-//! [`ServerHandle::shutdown`] return.
+//! Shutdown is a drain, not an abort: the acceptor is woken by one
+//! loopback connection and stops, handlers answer what they have read
+//! and close on the next poll tick, the queue closes and the workers
+//! run it dry, and only then does [`ServerHandle::shutdown`] return.
 
 use crate::cache::ShardedLru;
 use crate::metrics::{route_index, Metrics, OTHER_ROUTE};
 use crate::queue::{Bounded, PushError};
-use crate::{analyze, fixer, http, ServeConfig};
+use crate::{affinity, analyze, fixer, http, ServeConfig};
+use std::collections::VecDeque;
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,6 +57,7 @@ impl JobKind {
 struct Job {
     kind: JobKind,
     code: String,
+    queued: Instant,
     deadline: Instant,
     reply: SyncSender<Reply>,
 }
@@ -150,6 +157,17 @@ impl ServerHandle {
     /// run the queue dry, join every thread.
     pub fn shutdown(self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
+        // The acceptor blocks in `accept`; one connection wakes it to
+        // see the drain flag. An unspecified bind address is reached
+        // over loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         let _ = self.acceptor.join();
         self.shared.conns.wait_zero();
         self.shared.queue.close();
@@ -161,7 +179,6 @@ impl ServerHandle {
 /// Bind and start the full service.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let shared = Arc::new(Shared {
@@ -173,10 +190,20 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         cfg,
     });
 
-    let workers = (0..shared.cfg.batch_workers.max(1))
-        .map(|_| {
+    // One worker per usable CPU: each is pinned to its own (see
+    // `affinity`); any other pool size is left to the scheduler.
+    let cpus = affinity::allowed();
+    let pinned = cpus.len() > 1 && cpus.len() == shared.cfg.workers;
+    let workers = (0..shared.cfg.workers.max(1))
+        .map(|i| {
             let s = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&s))
+            let cpu = pinned.then(|| cpus[i]);
+            std::thread::spawn(move || {
+                if let Some(cpu) = cpu {
+                    affinity::pin(cpu);
+                }
+                worker_loop(&s)
+            })
         })
         .collect();
 
@@ -189,8 +216,12 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.metrics.connections_total.inc();
                 if shared.conns.count() >= shared.cfg.max_connections {
@@ -216,11 +247,68 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     s.conns.done();
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Back off on accept failures (e.g. out of descriptors)
+            // rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
+    }
+}
+
+/// Responses one connection may owe before its handler stops reading
+/// ahead. Misses read ahead sit on the shared queue, so every worker
+/// can take one connection's backlog.
+const PIPELINE_DEPTH: usize = 16;
+
+const JSON: &str = "application/json";
+
+/// A response owed to the client. A connection writes its responses in
+/// request order.
+struct Owed {
+    route: usize,
+    /// When a submitted request was parsed (`racellm_request_seconds`).
+    t0: Option<Instant>,
+    keep: bool,
+    body: OwedBody,
+}
+
+enum OwedBody {
+    /// Known when the request was read: a hit, an error, a GET.
+    Now {
+        status: u16,
+        content_type: &'static str,
+        extra: Vec<(&'static str, String)>,
+        body: Arc<str>,
+    },
+    /// A queued job's reply, due by the request's deadline.
+    Queued { rx: Receiver<Reply>, deadline: Instant },
+}
+
+impl Owed {
+    fn now(
+        route: usize,
+        t0: Option<Instant>,
+        keep: bool,
+        status: u16,
+        body: impl Into<Arc<str>>,
+    ) -> Owed {
+        Owed::with(route, t0, keep, status, JSON, Vec::new(), body)
+    }
+
+    fn with(
+        route: usize,
+        t0: Option<Instant>,
+        keep: bool,
+        status: u16,
+        content_type: &'static str,
+        extra: Vec<(&'static str, String)>,
+        body: impl Into<Arc<str>>,
+    ) -> Owed {
+        let body = OwedBody::Now { status, content_type, extra, body: body.into() };
+        Owed { route, t0, keep, body }
+    }
+
+    fn is_now(&self) -> bool {
+        matches!(self.body, OwedBody::Now { .. })
     }
 }
 
@@ -232,49 +320,111 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     let limits =
         http::Limits { max_body: shared.cfg.max_body_bytes, ..http::Limits::default() };
 
+    // Requests that have fully arrived are read ahead while earlier ones
+    // are queued, so a client that pipelines keeps every worker busy;
+    // their responses still go out in request order.
+    let mut owed: VecDeque<Owed> = VecDeque::new();
+    let mut reading = true;
     loop {
-        match http::read_request(&mut conn, &limits) {
-            Ok(req) => {
-                let keep = handle_request(shared, &mut writer, &req);
-                if !keep || shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
+        while owed.front().is_some_and(Owed::is_now) {
+            let o = owed.pop_front().expect("front checked");
+            if !settle(shared, &mut writer, o) {
+                return;
             }
-            Err(http::RecvError::Idle) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
+        }
+        let next = if !reading {
+            None
+        } else if owed.is_empty() {
+            match http::read_request(&mut conn, &limits) {
+                Err(http::RecvError::Idle) => {
+                    if shared.draining.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    continue;
                 }
+                r => Some(r),
             }
-            Err(http::RecvError::Closed) => break,
-            Err(e) => {
+        } else if owed.len() < PIPELINE_DEPTH {
+            ready_request(&mut conn, &limits)
+        } else {
+            None
+        };
+        match next {
+            None => match owed.pop_front() {
+                Some(o) => {
+                    if !settle(shared, &mut writer, o) {
+                        return;
+                    }
+                }
+                None => break,
+            },
+            Some(Ok(req)) => {
+                let o = handle_request(shared, &req);
+                reading = o.keep && !shared.draining.load(Ordering::SeqCst);
+                owed.push_back(o);
+            }
+            Some(Err(http::RecvError::Closed)) => reading = false,
+            Some(Err(e)) => {
                 shared.metrics.http_parse_errors_total.inc();
                 if let Some((status, msg)) = e.status() {
-                    shared.metrics.record(OTHER_ROUTE, status);
-                    let _ = http::write_response(
-                        &mut writer,
-                        status,
-                        "application/json",
-                        &[],
-                        http::error_body(msg).as_bytes(),
-                        false,
-                    );
+                    let body = http::error_body(msg);
+                    owed.push_back(Owed::now(OTHER_ROUTE, None, false, status, body));
                 }
-                break;
+                reading = false;
             }
         }
     }
     let _ = writer.flush();
 }
 
-/// Handle one request; returns whether to keep the connection open.
-fn handle_request(shared: &Arc<Shared>, w: &mut TcpStream, req: &http::Request) -> bool {
+/// The next request if it has fully arrived, without waiting for bytes.
+fn ready_request(
+    conn: &mut http::Conn<TcpStream>,
+    limits: &http::Limits,
+) -> Option<Result<http::Request, http::RecvError>> {
+    if let Some(r) = conn.buffered_request(limits) {
+        return Some(r);
+    }
+    conn.get_mut().set_nonblocking(true).ok()?;
+    let filled = conn.fill_ready();
+    let _ = conn.get_mut().set_nonblocking(false);
+    if filled {
+        conn.buffered_request(limits)
+    } else {
+        None
+    }
+}
+
+/// Write one owed response, first waiting for its job's reply if it has
+/// one; returns whether to keep the connection open.
+fn settle(shared: &Shared, w: &mut TcpStream, o: Owed) -> bool {
+    let (status, content_type, extra, body) = match o.body {
+        OwedBody::Now { status, content_type, extra, body } => (status, content_type, extra, body),
+        OwedBody::Queued { rx, deadline } => {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Reply::Body(body)) => (200, JSON, Vec::new(), body),
+                Ok(Reply::Expired) | Err(RecvTimeoutError::Timeout) => {
+                    shared.metrics.deadline_expired_total.inc();
+                    (504, JSON, Vec::new(), http::error_body("deadline exceeded").into())
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    (500, JSON, Vec::new(), http::error_body("worker pool gone").into())
+                }
+            }
+        }
+    };
+    shared.metrics.record(o.route, status);
+    if let Some(t0) = o.t0 {
+        shared.metrics.request_seconds.observe(t0.elapsed().as_secs_f64());
+    }
+    http::write_response(w, status, content_type, &extra, body.as_bytes(), o.keep).is_ok() && o.keep
+}
+
+/// Handle one request: the response it is owed.
+fn handle_request(shared: &Arc<Shared>, req: &http::Request) -> Owed {
     let draining = shared.draining.load(Ordering::SeqCst);
     let keep = req.keep_alive && !draining;
     let route = route_index(&req.target);
-    let mut respond = |status: u16, ct: &str, extra: &[(&str, String)], body: &[u8]| -> bool {
-        shared.metrics.record(route, status);
-        http::write_response(w, status, ct, extra, body, keep).is_ok() && keep
-    };
 
     match (req.method.as_str(), req.target.as_str()) {
         ("GET", "/healthz") => {
@@ -283,62 +433,42 @@ fn handle_request(shared: &Arc<Shared>, w: &mut TcpStream, req: &http::Request) 
                 "draining": draining,
             }))
             .expect("healthz body serializes");
-            respond(200, "application/json", &[], body.as_bytes())
+            Owed::now(route, None, keep, 200, body)
         }
         ("GET", "/metrics") => {
             let text = shared.metrics.render(&shared.cache.stats());
-            respond(200, "text/plain; version=0.0.4", &[], text.as_bytes())
+            Owed::with(route, None, keep, 200, "text/plain; version=0.0.4", Vec::new(), text)
         }
-        ("POST", "/v1/analyze") => handle_submit(shared, w, req, keep, JobKind::Analyze),
-        ("POST", "/v1/fix") => handle_submit(shared, w, req, keep, JobKind::Fix),
-        (_, "/healthz") | (_, "/metrics") | (_, "/v1/analyze") | (_, "/v1/fix") => respond(
-            405,
-            "application/json",
-            &[(
-                "allow",
-                if req.target.starts_with("/v1/") { "POST" } else { "GET" }.to_string(),
-            )],
-            http::error_body("method not allowed").as_bytes(),
-        ),
-        _ => respond(404, "application/json", &[], http::error_body("no such route").as_bytes()),
+        ("POST", "/v1/analyze") => handle_submit(shared, req, keep, JobKind::Analyze),
+        ("POST", "/v1/fix") => handle_submit(shared, req, keep, JobKind::Fix),
+        (_, "/healthz") | (_, "/metrics") | (_, "/v1/analyze") | (_, "/v1/fix") => {
+            let allow = if req.target.starts_with("/v1/") { "POST" } else { "GET" };
+            let body = http::error_body("method not allowed");
+            Owed::with(route, None, keep, 405, JSON, vec![("allow", allow.to_string())], body)
+        }
+        _ => Owed::now(route, None, keep, 404, http::error_body("no such route")),
     }
 }
 
-fn handle_submit(
-    shared: &Arc<Shared>,
-    w: &mut TcpStream,
-    req: &http::Request,
-    keep: bool,
-    kind: JobKind,
-) -> bool {
+fn handle_submit(shared: &Arc<Shared>, req: &http::Request, keep: bool, kind: JobKind) -> Owed {
     let t0 = Instant::now();
     let route = route_index(&req.target);
     if kind == JobKind::Fix {
         shared.metrics.fix_requests_total.inc();
     }
-    let mut respond = |status: u16, extra: &[(&str, String)], body: &[u8]| -> bool {
-        shared.metrics.record(route, status);
-        shared.metrics.request_seconds.observe(t0.elapsed().as_secs_f64());
-        http::write_response(w, status, "application/json", extra, body, keep).is_ok() && keep
-    };
+    let now = |status: u16, body: Arc<str>| Owed::now(route, Some(t0), keep, status, body);
 
     let wire: analyze::AnalyzeRequest = match std::str::from_utf8(&req.body)
         .ok()
         .and_then(|t| serde_json::from_str(t).ok())
     {
         Some(wire) => wire,
-        None => {
-            return respond(
-                400,
-                &[],
-                http::error_body("body must be JSON: {\"code\": \"...\"}").as_bytes(),
-            )
-        }
+        None => return now(400, http::error_body("body must be JSON: {\"code\": \"...\"}").into()),
     };
 
     // Cache hit: serve inline, no queue round-trip.
     if let Some(body) = shared.cache.get(&kind.cache_key(&wire.code)) {
-        return respond(200, &[], body.as_bytes());
+        return now(200, body);
     }
 
     let deadline_ms = req
@@ -349,71 +479,46 @@ fn handle_submit(
     let deadline = t0 + Duration::from_millis(deadline_ms);
 
     let (tx, rx) = mpsc::sync_channel(1);
-    match shared.queue.try_push(Job { kind, code: wire.code, deadline, reply: tx }) {
+    let job = Job { kind, code: wire.code, queued: Instant::now(), deadline, reply: tx };
+    match shared.queue.try_push(job) {
         Err(PushError::Full(_)) => {
             shared.metrics.queue_rejected_total.inc();
-            return respond(
-                429,
-                &[("retry-after", "1".to_string())],
-                http::error_body("analysis queue full").as_bytes(),
-            );
+            let body = http::error_body("analysis queue full");
+            let extra = vec![("retry-after", "1".to_string())];
+            Owed::with(route, Some(t0), keep, 429, JSON, extra, body)
         }
-        Err(PushError::Closed(_)) => {
-            return respond(503, &[], http::error_body("server draining").as_bytes());
-        }
-        Ok(depth) => shared.metrics.queue_depth.set(depth as i64),
-    }
-
-    match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-        Ok(Reply::Body(body)) => respond(200, &[], body.as_bytes()),
-        Ok(Reply::Expired) | Err(RecvTimeoutError::Timeout) => {
-            shared.metrics.deadline_expired_total.inc();
-            respond(504, &[], http::error_body("deadline exceeded").as_bytes())
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            respond(500, &[], http::error_body("worker pool gone").as_bytes())
+        Err(PushError::Closed(_)) => now(503, http::error_body("server draining").into()),
+        Ok(depth) => {
+            shared.metrics.queue_depth.set(depth as i64);
+            Owed { route, t0: Some(t0), keep, body: OwedBody::Queued { rx, deadline } }
         }
     }
 }
 
 fn worker_loop(shared: &Arc<Shared>) -> usize {
-    let cfg = &shared.cfg;
-    let linger = Duration::from_micros(cfg.batch_linger_micros);
-    let poll = Duration::from_millis(cfg.poll_ms.max(1));
+    let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
     let mut processed = 0usize;
 
-    while let Some(batch) = shared.queue.pop_batch(cfg.batch_max, linger, poll) {
+    while let Some(job) = shared.queue.pop(poll) {
         shared.metrics.queue_depth.set(shared.queue.len() as i64);
-        shared.metrics.batches_total.inc();
-        shared.metrics.batch_size.observe(batch.len() as f64);
-
-        let now = Instant::now();
-        let (live, expired): (Vec<Job>, Vec<Job>) =
-            batch.into_iter().partition(|j| j.deadline > now);
-        for job in expired {
+        shared.metrics.queue_wait_seconds.observe(job.queued.elapsed().as_secs_f64());
+        if job.deadline <= Instant::now() {
             shared.metrics.worker_expired_total.inc();
             let _ = job.reply.try_send(Reply::Expired);
-        }
-        if live.is_empty() {
             continue;
         }
 
-        let work: Vec<(JobKind, &str)> = live.iter().map(|j| (j.kind, j.code.as_str())).collect();
-        let fan = cfg.batch_parallelism.clamp(1, work.len());
-        let bodies = par::par_map(&work, fan, |(kind, c)| match kind {
-            JobKind::Analyze => (analyze::response_body(c), false),
-            JobKind::Fix => fixer::fix_body_traced(c),
-        });
-
-        for (job, (body, certified)) in live.iter().zip(bodies) {
-            if certified {
-                shared.metrics.fix_certified_total.inc();
-            }
-            let body: Arc<str> = Arc::from(body);
-            shared.cache.insert(&job.kind.cache_key(&job.code), Arc::clone(&body));
-            processed += 1;
-            let _ = job.reply.try_send(Reply::Body(body));
+        let (body, certified) = match job.kind {
+            JobKind::Analyze => (analyze::response_body(&job.code), false),
+            JobKind::Fix => fixer::fix_body_traced(&job.code),
+        };
+        if certified {
+            shared.metrics.fix_certified_total.inc();
         }
+        let body: Arc<str> = Arc::from(body);
+        shared.cache.insert(&job.kind.cache_key(&job.code), Arc::clone(&body));
+        processed += 1;
+        let _ = job.reply.try_send(Reply::Body(body));
     }
     processed
 }
@@ -424,12 +529,7 @@ mod tests {
     use crate::http::client::Client;
 
     fn test_cfg() -> ServeConfig {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            poll_ms: 20,
-            batch_linger_micros: 0,
-            ..ServeConfig::default()
-        }
+        ServeConfig { addr: "127.0.0.1:0".to_string(), poll_ms: 20, ..ServeConfig::default() }
     }
 
     #[test]
@@ -482,5 +582,57 @@ mod tests {
         assert_eq!(status, 504);
         assert_eq!(h.metrics().deadline_expired_total.get(), 1);
         h.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let h = start(test_cfg()).expect("bind");
+        let mut c = Client::connect(h.addr(), Duration::from_secs(5)).unwrap();
+        let post = |target: &str, body: &str| {
+            format!("POST {target} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+        };
+        let kernels = [
+            "int x; int main() { x = 1; return x; }",
+            "int a[8]; int main() {\n#pragma omp parallel for\nfor (int i = 0; i < 7; i++) a[i] = a[i + 1];\nreturn 0; }",
+        ];
+        let json = |code: &str| {
+            serde_json::to_string(&crate::analyze::AnalyzeRequest { code: code.to_string() })
+                .unwrap()
+        };
+        let raw = [
+            post("/v1/analyze", &json(kernels[0])),
+            post("/v1/fix", &json(kernels[1])),
+            "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+            post("/v1/analyze", &json(kernels[1])),
+            post("/v1/analyze", "not json"),
+        ]
+        .concat();
+        c.send_raw(raw.as_bytes()).unwrap();
+
+        let mut next = || {
+            let (status, body) = c.read_response().unwrap();
+            (status, String::from_utf8(body).unwrap())
+        };
+        assert_eq!(next(), (200, crate::analyze::response_body(kernels[0])));
+        assert_eq!(next(), (200, crate::fixer::fix_body(kernels[1])));
+        let (status, health) = next();
+        assert!(status == 200 && health.contains("\"ok\":true"), "{health}");
+        assert_eq!(next(), (200, crate::analyze::response_body(kernels[1])));
+        assert_eq!(next().0, 400);
+
+        let report = h.shutdown();
+        assert_eq!(report.jobs_leftover, 0);
+        assert_eq!(report.jobs_processed, 3);
+    }
+
+    #[test]
+    fn shutdown_without_clients_is_prompt() {
+        // An unspecified bind address: the wake-up goes over loopback.
+        let cfg = ServeConfig { addr: "0.0.0.0:0".to_string(), ..test_cfg() };
+        let t0 = Instant::now();
+        let report = start(cfg).expect("bind").shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2), "drain took {:?}", t0.elapsed());
+        assert_eq!(report.jobs_leftover, 0);
+        assert_eq!(report.jobs_processed, 0);
     }
 }

@@ -120,7 +120,7 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
     ensure(m.deadline_expired_total.get() == 1, "deadline counter moved")?;
     ensure(m.http_parse_errors_total.get() == 1, "parse-error counter moved")?;
     ensure(m.requests_get(OTHER_ROUTE, 400) == 1, "one 400 recorded")?;
-    ensure(m.batches_total.get() >= 1, "worker pool executed a batch")?;
+    ensure(m.queue_wait_seconds.count() >= 1, "worker pool popped a queued job")?;
     ensure(
         text.contains("racellm_http_requests_total{route=\"analyze\",status=\"200\"} 2"),
         "exposition text carries the analyze counter",
@@ -171,8 +171,7 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
 pub fn run() -> Result<String, String> {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        batch_workers: 2,
-        batch_max: 8,
+        workers: 2,
         queue_capacity: 32,
         cache_capacity: 64,
         deadline_ms: 5000,

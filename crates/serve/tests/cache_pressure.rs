@@ -80,7 +80,7 @@ fn server_under_cache_pressure_stays_byte_identical() {
         addr: "127.0.0.1:0".to_string(),
         cache_capacity: 4,
         cache_shards: 2,
-        batch_workers: 2,
+        workers: 2,
         deadline_ms: 10_000,
         poll_ms: 25,
         ..ServeConfig::default()

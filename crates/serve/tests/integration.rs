@@ -12,8 +12,7 @@ use std::time::Duration;
 fn test_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        batch_workers: 2,
-        batch_max: 8,
+        workers: 2,
         queue_capacity: 64,
         cache_capacity: 128,
         cache_shards: 4,

@@ -46,8 +46,7 @@ fn faults() -> Vec<String> {
 fn runtime_faults_leave_every_worker_serving() {
     let handle = server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        batch_workers: 2,
-        batch_linger_micros: 0,
+        workers: 2,
         poll_ms: 20,
         ..ServeConfig::default()
     })
