@@ -1,8 +1,7 @@
-//! Fine-tuning throughput benchmarks: single-fold adapter training
-//! (fast scratch-buffer loop vs the pre-PR reference trainer) and the
-//! full Table 4 + Table 6 cross-validation sweep (serial and
-//! fold-parallel). `tables --bench-json finetune` records the same
-//! comparison into `BENCH_finetune.json`.
+//! Fine-tuning throughput benchmarks: single-fold adapter training and
+//! the full Table 4 + Table 6 cross-validation sweep (serial and
+//! fold-parallel). `tables --bench-json finetune` records the sweep
+//! timings into `BENCH_finetune.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,19 +23,11 @@ fn bench_finetune(c: &mut Criterion) {
     g.bench_function("train_one_fold_fast", |b| {
         b.iter(|| black_box(finetune::FineTuned::train_on(s, views, &folds[0].train, &cfg)))
     });
-    g.bench_function("train_one_fold_reference", |b| {
-        let train: Vec<llm::KernelView> =
-            folds[0].train.iter().map(|&i| views[i].clone()).collect();
-        b.iter(|| black_box(finetune::FineTuned::train_reference(s, &train, &cfg)))
-    });
     g.bench_function("cv_tables_serial", |b| {
         b.iter(|| black_box(eval::cv_tables_with_workers(1)))
     });
     g.bench_function("cv_tables_parallel", |b| {
-        b.iter(|| black_box(eval::cv_tables_with_workers(eval::default_workers())))
-    });
-    g.bench_function("cv_tables_pre_pr_serial", |b| {
-        b.iter(|| black_box((eval::table4_serial_reference(), eval::table6_serial_reference())))
+        b.iter(|| black_box(eval::cv_tables_with_workers(par::default_workers())))
     });
     g.finish();
 

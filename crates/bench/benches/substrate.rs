@@ -85,7 +85,7 @@ fn bench_corpus_scale(c: &mut Criterion) {
     g.bench_function("parallel_static_sweep_201", |b| {
         let srcs: Vec<String> = drb_gen::corpus().iter().map(|k| k.trimmed_code.clone()).collect();
         b.iter(|| {
-            let verdicts = eval::par_map(&srcs, eval::default_workers(), |s| {
+            let verdicts = par::par_map(&srcs, par::default_workers(), |s| {
                 racecheck::check_source(s).unwrap().has_race()
             });
             black_box(verdicts.iter().filter(|v| **v).count())
@@ -103,7 +103,7 @@ fn bench_artifact_cache(c: &mut Criterion) {
     // behaviour of every answer path and the fine-tuning loop).
     g.bench_function("feature_sweep_cold_198", |b| {
         b.iter(|| {
-            let ds = eval::par_map(&views, eval::default_workers(), |k| {
+            let ds = par::par_map(&views, par::default_workers(), |k| {
                 llm::CodeFeatures::extract(&k.trimmed_code).surface_difficulty()
             });
             black_box(ds)
@@ -112,9 +112,8 @@ fn bench_artifact_cache(c: &mut Criterion) {
     // Cached: read the shared artifact.
     g.bench_function("feature_sweep_cached_198", |b| {
         b.iter(|| {
-            let ds = eval::par_map(&views, eval::default_workers(), |k| {
-                k.artifact().surface_difficulty
-            });
+            let ds =
+                par::par_map(&views, par::default_workers(), |k| k.artifact().surface_difficulty);
             black_box(ds)
         })
     });
@@ -122,7 +121,7 @@ fn bench_artifact_cache(c: &mut Criterion) {
     // Same pair for the static-detector baseline row.
     g.bench_function("baseline_cold_parse_198", |b| {
         b.iter(|| {
-            let preds = eval::par_map(&views, eval::default_workers(), |k| {
+            let preds = par::par_map(&views, par::default_workers(), |k| {
                 racecheck::check_source(&k.trimmed_code).map(|r| r.has_race()).unwrap_or(false)
             });
             black_box(preds)
@@ -169,33 +168,15 @@ fn bench_dynamic_oracle(c: &mut Criterion) {
         });
     }
 
-    // Full-corpus adversarial sweep (3 schedule seeds per kernel).
-    // `pre_pr_serial` models the old oracle: every seed re-executed and
-    // analyzed with the full-VC event-list path, no seed-insensitivity
-    // short-circuit. The epoch rows use the shipping `check_adversarial`,
-    // one kernel at a time and with kernels fanned over the
-    // RACELLM_WORKERS default.
+    // Full-corpus adversarial sweep (3 schedule seeds per kernel) with
+    // the shipping `check_adversarial`, one kernel at a time and with
+    // kernels fanned over the RACELLM_WORKERS default.
     let seeds = [1u64, 7, 23];
     let units: Vec<(&str, minic::TranslationUnit)> = drb_gen::corpus()
         .iter()
         .filter(|k| k.behavior != drb_gen::ToolBehavior::DynUnmodeled)
         .map(|k| (k.name.as_str(), minic::parse(&k.trimmed_code).unwrap()))
         .collect();
-    g.bench_function("corpus_sweep_pre_pr_serial", |b| {
-        b.iter(|| {
-            let mut races = 0usize;
-            for (_, unit) in &units {
-                let mut merged = hbsan::DynReport::default();
-                for &seed in &seeds {
-                    let cfg = hbsan::Config { seed, ..hbsan::Config::default() };
-                    let Ok(out) = hbsan::run(unit, &cfg) else { continue };
-                    merged.merge(hbsan::analyze_events(&out.trace.to_events(), out.trace.threads));
-                }
-                races += merged.has_race() as usize;
-            }
-            black_box(races)
-        })
-    });
     g.bench_function("corpus_sweep_epoch_serial", |b| {
         b.iter(|| {
             let races = units
@@ -211,7 +192,7 @@ fn bench_dynamic_oracle(c: &mut Criterion) {
     });
     g.bench_function("corpus_sweep_epoch_parallel", |b| {
         b.iter(|| {
-            let verdicts = eval::par_map(&units, eval::default_workers(), |(_, unit)| {
+            let verdicts = par::par_map(&units, par::default_workers(), |(_, unit)| {
                 hbsan::check_adversarial(unit, &hbsan::Config::default(), &seeds)
                     .map(|r| r.has_race())
                     .unwrap_or(false)

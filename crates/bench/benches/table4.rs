@@ -23,7 +23,7 @@ fn bench_table4(c: &mut Criterion) {
     // (which also rebuilds Table 6 — the two tables share adapters).
     g.bench_function("regenerate_full", |b| {
         b.iter(|| {
-            let (rows, _) = eval::cv_tables_with_workers(eval::default_workers());
+            let (rows, _) = eval::cv_tables_with_workers(par::default_workers());
             assert_eq!(rows.len(), 4);
             black_box(rows)
         })

@@ -12,7 +12,7 @@ fn bench_table6(c: &mut Criterion) {
     // Table 4; regeneration goes through the CV runner directly.
     g.bench_function("regenerate_full", |b| {
         b.iter(|| {
-            let (_, rows) = eval::cv_tables_with_workers(eval::default_workers());
+            let (_, rows) = eval::cv_tables_with_workers(par::default_workers());
             assert_eq!(rows.len(), 4);
             black_box(rows)
         })

@@ -6,9 +6,8 @@
 //!   cargo run --release -p bench --bin tables -- --json    # machine-readable
 //!   cargo run --release -p bench --bin tables -- --bench-json [oracle|finetune|repair|all] [path]
 //!       time the dynamic-oracle / fine-tuning / repair stages and write
-//!       BENCH_oracle.json / BENCH_finetune.json / BENCH_repair.json (a
-//!       bare path after --bench-json keeps the historical oracle-only
-//!       behaviour)
+//!       BENCH_oracle.json / BENCH_finetune.json / BENCH_repair.json
+//!       (`all`, the default, writes all three; a path applies to one)
 
 use eval::{format_cv_table, format_detection_table};
 use llm::calibration::paper;
@@ -133,12 +132,10 @@ fn write_out(dir: &str) {
 /// kernel) through three configurations and write the measurements as
 /// JSON:
 ///
-/// * `pre_pr_serial` — the old oracle path: every seed re-executed and
-///   analyzed with the full-vector-clock event-list analyzer, no
-///   seed-insensitivity short-circuit, one kernel at a time.
 /// * `epoch_serial` — the shipping `check_adversarial`, one kernel at a
 ///   time (interned traces + epoch cells + short-circuit).
 /// * `epoch_parallel` — the same, kernels fanned over `RACELLM_WORKERS`.
+/// * `bytecode` — the sweep over kernels lowered once up front.
 fn write_bench_json(path: &str) {
     const SEEDS: [u64; 3] = [1, 7, 23];
     let units: Vec<minic::TranslationUnit> = drb_gen::corpus()
@@ -159,19 +156,6 @@ fn write_bench_json(path: &str) {
         (races, best)
     };
 
-    let (races_pre, pre_pr_serial) = time(&|| {
-        let mut races = 0usize;
-        for unit in &units {
-            let mut merged = hbsan::DynReport::default();
-            for &seed in &SEEDS {
-                let cfg = hbsan::Config { seed, ..hbsan::Config::default() };
-                let Ok(out) = hbsan::run(unit, &cfg) else { continue };
-                merged.merge(hbsan::analyze_events(&out.trace.to_events(), out.trace.threads));
-            }
-            races += merged.has_race() as usize;
-        }
-        races
-    });
     let (races_serial, epoch_serial) = time(&|| {
         units
             .iter()
@@ -183,7 +167,7 @@ fn write_bench_json(path: &str) {
             .count()
     });
     let (races_par, epoch_parallel) = time(&|| {
-        eval::par_map(&units, eval::default_workers(), |unit| {
+        par::par_map(&units, par::default_workers(), |unit| {
             hbsan::check_adversarial(unit, &hbsan::Config::default(), &SEEDS)
                 .map(|r| r.has_race())
                 .unwrap_or(false)
@@ -212,7 +196,6 @@ fn write_bench_json(path: &str) {
             })
             .count()
     });
-    assert_eq!(races_pre, races_serial, "oracle verdicts diverged");
     assert_eq!(races_serial, races_par, "worker count changed verdicts");
     assert_eq!(races_serial, races_bc, "bytecode executor changed verdicts");
 
@@ -220,18 +203,14 @@ fn write_bench_json(path: &str) {
         "bench": "dynamic_oracle_corpus_sweep",
         "kernels": units.len(),
         "seeds": SEEDS.to_vec(),
-        "workers": eval::default_workers(),
-        "racy_kernels": races_pre,
+        "workers": par::default_workers(),
+        "racy_kernels": races_serial,
         "seconds": serde_json::json!({
-            "pre_pr_serial": pre_pr_serial,
             "epoch_serial": epoch_serial,
             "epoch_parallel": epoch_parallel,
             "bytecode": bytecode,
         }),
         "speedup": serde_json::json!({
-            "epoch_serial_vs_pre_pr": (pre_pr_serial / epoch_serial),
-            "epoch_parallel_vs_pre_pr": (pre_pr_serial / epoch_parallel),
-            "bytecode_vs_pre_pr": (pre_pr_serial / bytecode),
             "bytecode_vs_epoch_serial": (epoch_serial / bytecode),
         }),
     });
@@ -241,26 +220,22 @@ fn write_bench_json(path: &str) {
     println!("wrote {path}");
 }
 
-/// Time a full Table 4 + Table 6 cross-validation run through three
+/// Time a full Table 4 + Table 6 cross-validation run through two
 /// configurations and write the measurements as JSON:
 ///
-/// * `pre_pr_serial` — the old fine-tuning path: per-fold cloned
-///   training sets, two uncached surrogate predictions per kernel, the
-///   allocating two-optimizer trainer, and a separate training run for
-///   each table.
 /// * `fast_serial` — the shipping path pinned to 1 worker: memoized
 ///   predictions, scratch-buffer training, one fused Adam, and one
 ///   adapter per (model, fold) shared by both tables.
 /// * `fast_parallel` — the same, fanned over `default_workers()`.
 ///
-/// The three configurations must agree row-for-row (the equivalence
+/// The two configurations must agree row-for-row (the equivalence
 /// tests prove byte-identical JSON; this asserts it again on the
 /// measured runs).
 fn write_bench_finetune_json(path: &str) {
     // Shared state (views, artifacts, surrogate calibration) is built
     // once here so the timings below measure the CV work itself.
     let _ = eval::corpus_surrogates();
-    let workers = eval::default_workers();
+    let workers = par::default_workers();
 
     let time = |f: &dyn Fn() -> (Vec<eval::CvRow>, Vec<eval::CvRow>)| {
         // One warmup pass, then best-of-3 to damp scheduler noise.
@@ -274,11 +249,8 @@ fn write_bench_finetune_json(path: &str) {
         (rows, best)
     };
 
-    let (rows_pre, pre_pr_serial) =
-        time(&|| (eval::table4_serial_reference(), eval::table6_serial_reference()));
     let (rows_fast1, fast_serial) = time(&|| eval::cv_tables_with_workers(1));
     let (rows_fastn, fast_parallel) = time(&|| eval::cv_tables_with_workers(workers));
-    assert_eq!(rows_pre, rows_fast1, "fast serial path changed a table cell");
     assert_eq!(rows_fast1, rows_fastn, "worker count changed a table cell");
 
     let out = serde_json::json!({
@@ -287,18 +259,12 @@ fn write_bench_finetune_json(path: &str) {
         "models": vec!["SC", "LM"],
         "folds": 5,
         "adapter_trainings_per_run": serde_json::json!({
-            "pre_pr_serial": 20,
             "fast": 10,
         }),
         "workers": workers,
         "seconds": serde_json::json!({
-            "pre_pr_serial": pre_pr_serial,
             "fast_serial": fast_serial,
             "fast_parallel": fast_parallel,
-        }),
-        "speedup": serde_json::json!({
-            "fast_serial_vs_pre_pr": (pre_pr_serial / fast_serial),
-            "fast_parallel_vs_pre_pr": (pre_pr_serial / fast_parallel),
         }),
     });
     let pretty = serde_json::to_string_pretty(&out).expect("serializable");
@@ -315,7 +281,7 @@ fn write_bench_repair_json(path: &str) {
     use racellm::repair;
 
     let cfg = repair::RepairConfig::default();
-    let workers = eval::default_workers();
+    let workers = par::default_workers();
 
     let time = |f: &dyn Fn() -> repair::SweepSummary| {
         // One warmup pass, then best-of-3 to damp scheduler noise.
@@ -385,8 +351,12 @@ fn main() {
                 write_bench_finetune_json("BENCH_finetune.json");
                 write_bench_repair_json("BENCH_repair.json");
             }
-            // Historical form: a bare output path means the oracle bench.
-            Some(path) => write_bench_json(path),
+            Some(other) => {
+                eprintln!(
+                    "unknown --bench-json target {other:?}\nusage: tables --bench-json [oracle|finetune|repair|all] [path]"
+                );
+                std::process::exit(2);
+            }
         }
         return;
     }

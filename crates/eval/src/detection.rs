@@ -3,9 +3,9 @@
 //! chat, parse the free-text answers, score against labels.
 
 use crate::metrics::Confusion;
-use crate::par::{default_workers, par_map};
 use crate::parse::{parse_verdict, Verdict};
 use llm::{ChatSession, KernelView, ModelKind, PromptStrategy, Surrogate};
+use par::{default_workers, par_map};
 
 /// Outcome of one kernel's chat (kept for audits / failure analysis).
 #[derive(Debug, Clone, Default)]

@@ -4,7 +4,6 @@
 //! * [`metrics`] — confusion matrices and recall/precision/F1 (§3.6),
 //! * [`parse`] — layered LLM-output parsing with regex-style fallbacks
 //!   (§4.5),
-//! * [`par`] — scoped-thread parallel sweeps,
 //! * [`detection`] / [`varid`] — the S1 and S2/S3 experiment loops,
 //! * [`tables`] — one runner per paper table (2, 3, 4, 5, 6).
 
@@ -12,7 +11,6 @@
 
 pub mod detection;
 pub mod metrics;
-pub mod par;
 pub mod parse;
 pub mod stats;
 pub mod tables;
@@ -20,12 +18,10 @@ pub mod varid;
 
 pub use detection::{run_baseline, run_detection, surrogates, Exchange};
 pub use metrics::{Agreement, Confusion};
-pub use par::{default_workers, par_map};
 pub use parse::{parse_pairs, parse_verdict, ParsedPair, Verdict};
 pub use stats::{compare_classifiers, mcnemar_exact, PairedOutcomes};
 pub use tables::{
     corpus_surrogates, corpus_views, cv_tables_with_workers, format_cv_table,
-    format_detection_table, table2, table3, table4, table4_serial_reference, table5, table6,
-    table6_serial_reference, CvRow, DetectionRow,
+    format_detection_table, table2, table3, table4, table5, table6, CvRow, DetectionRow,
 };
 pub use varid::{match_level, pair_matches, run_varid, run_varid_levels, MatchLevel, VarIdExchange};

@@ -278,82 +278,6 @@ pub fn table6() -> Vec<CvRow> {
     cv_tables_cached().1.clone()
 }
 
-/// Pre-PR Table 4: the serial reference path kept for differential
-/// tests and the `BENCH_finetune.json` baseline — per-fold cloned
-/// training sets, the allocating two-optimizer trainer, uncached
-/// surrogate predictions, and a separate training run per table.
-pub fn table4_serial_reference() -> Vec<CvRow> {
-    let vs = corpus_views();
-    let folds = folds_for(vs, 5, CV_SEED);
-    let mut rows = Vec::new();
-    for m in CV_MODELS {
-        let s = surrogate(m);
-        let cfg = TrainConfig::for_model(m);
-        let base: Vec<Confusion> = folds
-            .iter()
-            .map(|fold| {
-                let mut c = Confusion::default();
-                for &i in &fold.test {
-                    c.record(vs[i].race, s.predict(&vs[i], PromptStrategy::P1));
-                }
-                c
-            })
-            .collect();
-        let ft: Vec<Confusion> = folds
-            .iter()
-            .map(|fold| {
-                let train: Vec<KernelView> = fold.train.iter().map(|&i| vs[i].clone()).collect();
-                let ft = FineTuned::train_reference(s, &train, &cfg);
-                let mut c = Confusion::default();
-                for &i in &fold.test {
-                    c.record(vs[i].race, ft.predict(s, &vs[i]));
-                }
-                c
-            })
-            .collect();
-        rows.push(CvRow::from_folds(m.short(), &base));
-        rows.push(CvRow::from_folds(&format!("{}-FT", m.short()), &ft));
-    }
-    rows
-}
-
-/// Pre-PR Table 6 (see [`table4_serial_reference`]): retrains every
-/// (model, fold) adapter from scratch instead of sharing Table 4's.
-pub fn table6_serial_reference() -> Vec<CvRow> {
-    let vs = corpus_views();
-    let folds = folds_for(vs, 5, CV_SEED);
-    let mut rows = Vec::new();
-    for m in CV_MODELS {
-        let s = surrogate(m);
-        let cfg = TrainConfig::for_model(m);
-        let base: Vec<Confusion> = folds
-            .iter()
-            .map(|fold| {
-                let mut c = Confusion::default();
-                for &i in &fold.test {
-                    record_varid(&mut c, vs[i].race, s.varid_outcome(&vs[i]));
-                }
-                c
-            })
-            .collect();
-        let ft: Vec<Confusion> = folds
-            .iter()
-            .map(|fold| {
-                let train: Vec<KernelView> = fold.train.iter().map(|&i| vs[i].clone()).collect();
-                let ft = FineTuned::train_reference(s, &train, &cfg);
-                let mut c = Confusion::default();
-                for &i in &fold.test {
-                    record_varid(&mut c, vs[i].race, finetune::varid_outcome_finetuned(&ft, s, &vs[i]));
-                }
-                c
-            })
-            .collect();
-        rows.push(CvRow::from_folds(m.short(), &base));
-        rows.push(CvRow::from_folds(&format!("{}-FT", m.short()), &ft));
-    }
-    rows
-}
-
 /// Format detection rows as a paper-style markdown table.
 pub fn format_detection_table(title: &str, rows: &[DetectionRow]) -> String {
     let mut s = format!("{title}\n");

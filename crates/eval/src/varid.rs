@@ -5,9 +5,9 @@
 //! standard, which is why Table 5's scores collapse to 0.06–0.19).
 
 use crate::metrics::Confusion;
-use crate::par::{default_workers, par_map};
 use crate::parse::{parse_pairs, ParsedPair};
 use llm::{KernelView, Surrogate};
+use par::{default_workers, par_map};
 
 /// Normalize an lvalue text for comparison (whitespace-insensitive).
 fn norm(s: &str) -> String {

@@ -1,7 +1,8 @@
 //! Property tests: metric identities, parser totality, and parallel-map
 //! equivalence.
 
-use eval::{par_map, parse_pairs, parse_verdict, Agreement, Confusion};
+use eval::{parse_pairs, parse_verdict, Agreement, Confusion};
+use par::par_map;
 use proptest::prelude::*;
 
 proptest! {

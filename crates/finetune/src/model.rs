@@ -62,9 +62,11 @@ impl TrainScratch {
     }
 
     /// Refill the dropout mask in place, drawing exactly `mask.len()`
-    /// uniforms — the same stream positions the reference loop's
-    /// per-step `Vec<bool>` collect consumed, so seeded runs reproduce
-    /// the historical masks bit for bit.
+    /// uniforms, one per input feature in feature order. The trainer's
+    /// RNG stream is therefore one shuffle per epoch followed by `dim`
+    /// draws per example, in the shuffled order; Tables 4 and 6 (and
+    /// the full-precision `tests/golden/cv_tables.json`) pin that order,
+    /// so any change to it shows up as a golden diff.
     pub fn fill_mask(&mut self, rng: &mut crate::train::Rng, dropout: f64) {
         for m in &mut self.mask {
             *m = rng.uniform() >= dropout;
@@ -79,8 +81,8 @@ impl TrainScratch {
 /// (we only need a scalar output head). `A` and `B` live in one
 /// contiguous buffer (`A` rows, then `B`) so a single fused
 /// [`Adam`](crate::adam::Adam) can update every adapter parameter in one
-/// pass; per-coordinate updates make this bit-identical to the old
-/// separate `opt_a`/`opt_b` pair.
+/// pass; Adam's updates are per coordinate, so one optimizer over the
+/// fused buffer equals one optimizer per matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoraHead {
     /// Frozen base weights (quantized).
@@ -202,24 +204,6 @@ impl LoraHead {
         for (b, g) in b.iter_mut().zip(&gb) {
             *b -= lr * g;
         }
-        loss
-    }
-
-    /// One Adam step on the adapter, two optimizers (reference path; the
-    /// fast loop fuses both into one via [`LoraHead::adam_step_scratch`]).
-    pub fn adam_step(
-        &mut self,
-        x: &[f64],
-        y: f64,
-        opt_a: &mut crate::adam::Adam,
-        opt_b: &mut crate::adam::Adam,
-        dropout_mask: &[bool],
-    ) -> f64 {
-        let (ga, gb, loss) = self.grads(x, y, dropout_mask);
-        let split = self.rank * self.dim();
-        let (a, b) = self.ab.split_at_mut(split);
-        opt_a.step(a, &ga);
-        opt_b.step(b, &gb);
         loss
     }
 
@@ -410,9 +394,10 @@ mod tests {
     #[test]
     fn fused_training_tracks_two_optimizer_reference() {
         // Same inputs, same dropout masks: the fused single-Adam
-        // `step_fast` path and the old two-optimizer `step` path differ
-        // only in Adam's float evaluation order, so parameters must
-        // agree to rounding over a full training run.
+        // `step_fast` path and a two-optimizer step built here from
+        // `grads` plus one textbook `Adam::step` per matrix differ only
+        // in Adam's float evaluation order, so parameters must agree to
+        // rounding over a full training run.
         let mut rng = crate::train::Rng::new(21);
         let dim = 17;
         let rank = 3;
@@ -430,7 +415,10 @@ mod tests {
                 (0..dim).map(|i| (((step * dim + i) as f64) * 0.61).cos()).collect();
             let y = f64::from(step % 3 == 0);
             scratch.fill_mask(&mut mask_rng, 0.1);
-            ref_head.adam_step(&x, y, &mut opt_a, &mut opt_b, &scratch.mask);
+            let (ga, gb, _) = ref_head.grads(&x, y, &scratch.mask);
+            let (a, b) = ref_head.ab.split_at_mut(rank * dim);
+            opt_a.step(a, &ga);
+            opt_b.step(b, &gb);
             fast_head.adam_step_scratch(&x, y, &mut opt, &mut scratch);
         }
         for (p, q) in ref_head.a().iter().zip(fast_head.a()) {

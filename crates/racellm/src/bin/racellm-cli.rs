@@ -11,14 +11,13 @@
 //! racellm-cli fix --corpus                corpus-wide repair-rate table
 //! racellm-cli fix --smoke                 deterministic repair smoke gate
 //! racellm-cli serve [--smoke] [opts]      cached HTTP detection service
-//! racellm-cli loadgen [opts]              closed-loop load generator → BENCH_serve.json
 //! ```
 
 use racellm::{drb_gen, drb_ml, llm, repair, serve, xcheck, Pipeline};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  racellm-cli analyze <file.c>\n  racellm-cli modality <file.c> <source|ast|depgraph|cfg>\n  racellm-cli dataset <out_dir>\n  racellm-cli corpus\n  racellm-cli xcheck --smoke [seed]\n  racellm-cli xcheck report [seed]\n  racellm-cli fix <file.c> | --corpus | --smoke\n  racellm-cli serve [--smoke] [--addr HOST:PORT] [--workers N] [--queue-cap N]\n                    [--cache-cap N] [--deadline-ms N]\n  racellm-cli loadgen [--addr HOST:PORT] [--clients N] [--duration-secs N]\n                      [--warmup-secs N] [--out PATH]  (no --addr: self-serve)"
+        "usage:\n  racellm-cli analyze <file.c>\n  racellm-cli modality <file.c> <source|ast|depgraph|cfg>\n  racellm-cli dataset <out_dir>\n  racellm-cli corpus\n  racellm-cli xcheck --smoke [seed]\n  racellm-cli xcheck report [seed]\n  racellm-cli fix <file.c> | --corpus | --smoke\n  racellm-cli serve [--smoke] [--addr HOST:PORT] [--workers N] [--queue-cap N]\n                    [--cache-cap N] [--deadline-ms N]"
     );
     std::process::exit(2);
 }
@@ -163,70 +162,6 @@ fn cmd_fix(args: &[String]) -> ! {
     }
 }
 
-fn cmd_loadgen(args: &[String]) -> ! {
-    let flags = parse_flags(
-        args,
-        &["--addr", "--clients", "--duration-secs", "--warmup-secs", "--out"],
-    );
-    let defaults = serve::loadgen::LoadgenConfig::default();
-    // Without --addr, spin an in-process server on an ephemeral port and
-    // drive it over real sockets (the acceptance-bench configuration).
-    let self_serve = match flag_str(&flags, "--addr") {
-        Some(_) => None,
-        None => {
-            let cfg =
-                serve::ServeConfig { addr: "127.0.0.1:0".to_string(), ..Default::default() };
-            let handle = serve::server::start(cfg).unwrap_or_else(|e| {
-                eprintln!("self-serve failed to start: {e}");
-                std::process::exit(1);
-            });
-            println!("self-serve on http://{}", handle.addr());
-            Some(handle)
-        }
-    };
-    let addr = match &self_serve {
-        Some(h) => h.addr(),
-        None => flag_str(&flags, "--addr").expect("checked above").parse().unwrap_or_else(|e| {
-            eprintln!("bad --addr: {e}");
-            std::process::exit(2);
-        }),
-    };
-    let cfg = serve::loadgen::LoadgenConfig {
-        addr,
-        clients: flag_num(&flags, "--clients", defaults.clients),
-        duration: std::time::Duration::from_secs_f64(flag_num(
-            &flags,
-            "--duration-secs",
-            defaults.duration.as_secs_f64(),
-        )),
-        warmup: std::time::Duration::from_secs_f64(flag_num(
-            &flags,
-            "--warmup-secs",
-            defaults.warmup.as_secs_f64(),
-        )),
-        out: Some(
-            flag_str(&flags, "--out").map(Into::into).unwrap_or_else(|| "BENCH_serve.json".into()),
-        ),
-    };
-    match serve::loadgen::run(&cfg) {
-        Ok(report) => {
-            println!("{}", serve::loadgen::summarize(&report));
-            if let Some(h) = self_serve {
-                let drain = h.shutdown();
-                println!(
-                    "drained: {} jobs processed, {} leftover",
-                    drain.jobs_processed, drain.jobs_leftover
-                );
-            }
-            std::process::exit(i32::from(report.status.server_5xx > 0));
-        }
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Accept decimal or `0x…` hex seeds.
 fn parse_seed(s: &str) -> u64 {
     let parsed = match s.strip_prefix("0x") {
@@ -334,7 +269,6 @@ fn main() {
         }
         Some("fix") => cmd_fix(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("corpus") => {
             for k in drb_gen::corpus() {
                 println!(

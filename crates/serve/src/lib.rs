@@ -26,8 +26,6 @@
 //!   loop, certificates shipped verbatim);
 //! * [`server`] — acceptor, connection handlers, worker pool, graceful
 //!   drain;
-//! * [`loadgen`] — a closed-loop socket-level load generator emitting
-//!   `BENCH_serve.json`;
 //! * [`smoke`] — the tier-1 `racellm-cli serve --smoke` gate.
 
 #![warn(missing_docs)]
@@ -37,7 +35,6 @@ pub mod analyze;
 pub mod cache;
 pub mod fixer;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod queue;
 pub mod server;

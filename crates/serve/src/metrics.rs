@@ -256,7 +256,7 @@ impl Metrics {
 }
 
 /// Read one plain (unlabelled) sample back out of exposition text —
-/// the loadgen and smoke gate use this to diff scrapes.
+/// benchmark drivers and tests use this to diff scrapes.
 pub fn scrape_value(text: &str, name: &str) -> Option<f64> {
     text.lines().find_map(|l| {
         let rest = l.strip_prefix(name)?;

@@ -69,15 +69,6 @@ impl Default for XConfig {
     }
 }
 
-/// Where a swept kernel came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Origin {
-    /// Straight out of the generator.
-    Generated,
-    /// A label-flipping mutant of a generated kernel.
-    Flipped(FlipMutation),
-}
-
 /// One kernel that the detectors disagreed on.
 #[derive(Debug, Clone)]
 pub struct Disagreement {
@@ -141,8 +132,6 @@ struct SweepItem {
     name: String,
     expected: bool,
     code: String,
-    #[allow(dead_code)]
-    origin: Origin,
 }
 
 /// Run one differential sweep.
@@ -157,7 +146,6 @@ pub fn run(cfg: &XConfig) -> XReport {
             name: k.name.clone(),
             expected: k.expected,
             code: k.code.clone(),
-            origin: Origin::Generated,
         });
         let unit = match minic::parse(&k.code) {
             Ok(u) => u,
@@ -169,7 +157,6 @@ pub fn run(cfg: &XConfig) -> XReport {
                     name: format!("{}+{}", k.name, flip.tag()),
                     expected: new_expected,
                     code: minic::print_unit(&mutant),
-                    origin: Origin::Flipped(flip),
                 });
             }
         }

@@ -1,6 +1,7 @@
 //! Golden snapshots: the rendered Tables 2–6 are pinned byte-for-byte
-//! under `tests/golden/`. Any drift — a cell, a metric digit, even
-//! column padding — fails with a line diff.
+//! under `tests/golden/`, and Tables 4 and 6 also at full float
+//! precision (`cv_tables.json`). Any drift — a cell, a metric digit,
+//! even column padding — fails with a line diff.
 //!
 //! To bless a new snapshot after an intentional change:
 //!
@@ -86,4 +87,15 @@ fn table5_matches_golden() {
 #[test]
 fn table6_matches_golden() {
     check("table6.md", &eval::format_cv_table("Table 6", &eval::table6()));
+}
+
+/// Tables 4 and 6 at full precision: the exact `CvRow` floats, not the
+/// 3-decimal `.md` rendering above. The snapshot was blessed from the
+/// original serial trainer (two Adam optimizers, per-fold cloned
+/// training sets), so it pins the fold-parallel fused trainer to that
+/// arithmetic's results bit for bit.
+#[test]
+fn cv_tables_match_golden() {
+    let rows = (eval::table4(), eval::table6());
+    check("cv_tables.json", &serde_json::to_string_pretty(&rows).unwrap());
 }

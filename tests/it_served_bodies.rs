@@ -39,14 +39,13 @@ fn render() -> String {
             .into_iter()
             .map(|k| (k.name, k.code)),
     );
-    let lines =
-        racellm::eval::par_map(&inputs, racellm::eval::default_workers(), |(name, code)| {
-            format!(
-                "{name}  analyze={}  fix={}\n",
-                digest(&serve::analyze::response_body(code)),
-                digest(&serve::fixer::fix_body(code))
-            )
-        });
+    let lines = par::par_map(&inputs, par::default_workers(), |(name, code)| {
+        format!(
+            "{name}  analyze={}  fix={}\n",
+            digest(&serve::analyze::response_body(code)),
+            digest(&serve::fixer::fix_body(code))
+        )
+    });
     lines.concat()
 }
 
