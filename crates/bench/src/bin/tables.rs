@@ -7,7 +7,9 @@
 //!   cargo run --release -p bench --bin tables -- --bench-json [oracle|finetune|repair|all] [path]
 //!       time the dynamic-oracle / fine-tuning / repair stages and write
 //!       BENCH_oracle.json / BENCH_finetune.json / BENCH_repair.json
-//!       (`all`, the default, writes all three; a path applies to one)
+//!       (`all`, the default, writes all three; a path needs one target)
+//!
+//! Any other argument prints the usage and exits with status 2.
 
 use eval::{format_cv_table, format_detection_table};
 use llm::calibration::paper;
@@ -330,60 +332,68 @@ fn write_bench_repair_json(path: &str) {
     println!("wrote {path}");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
-        match args.get(pos + 1).map(String::as_str) {
-            Some("finetune") => {
-                let path = args.get(pos + 2).map(String::as_str).unwrap_or("BENCH_finetune.json");
-                write_bench_finetune_json(path);
-            }
-            Some("oracle") => {
-                let path = args.get(pos + 2).map(String::as_str).unwrap_or("BENCH_oracle.json");
-                write_bench_json(path);
-            }
-            Some("repair") => {
-                let path = args.get(pos + 2).map(String::as_str).unwrap_or("BENCH_repair.json");
-                write_bench_repair_json(path);
-            }
-            Some("all") | None => {
-                write_bench_json("BENCH_oracle.json");
-                write_bench_finetune_json("BENCH_finetune.json");
-                write_bench_repair_json("BENCH_repair.json");
-            }
-            Some(other) => {
-                eprintln!(
-                    "unknown --bench-json target {other:?}\nusage: tables --bench-json [oracle|finetune|repair|all] [path]"
-                );
-                std::process::exit(2);
+const USAGE: &str = "\
+usage: tables [table2|table3|table4|table5|table6]...
+       tables --json
+       tables --out [dir]
+       tables --bench-json [oracle|finetune|repair|all]
+       tables --bench-json oracle|finetune|repair <path>";
+
+/// Print `problem` and the usage text, then exit with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("tables: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn bench_json(args: &[&str]) {
+    type Writer = fn(&str);
+    let targets: [(&str, Writer, &str); 3] = [
+        ("oracle", write_bench_json, "BENCH_oracle.json"),
+        ("finetune", write_bench_finetune_json, "BENCH_finetune.json"),
+        ("repair", write_bench_repair_json, "BENCH_repair.json"),
+    ];
+    match args {
+        [] | ["all"] => {
+            for (_, write, path) in targets {
+                write(path);
             }
         }
-        return;
+        ["all", _] => usage_error("a path needs one --bench-json target, not `all`"),
+        [target] | [target, _] => {
+            let Some(&(_, write, default)) = targets.iter().find(|(name, ..)| name == target)
+            else {
+                usage_error(&format!("unknown --bench-json target {target:?}"));
+            };
+            write(args.get(1).copied().unwrap_or(default));
+        }
+        _ => usage_error("--bench-json takes a target and at most one path"),
     }
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        let dir = args.get(pos + 1).map(String::as_str).unwrap_or("artifacts");
-        write_out(dir);
-        return;
-    }
-    if args.iter().any(|a| a == "--json") {
-        print_json();
-        return;
-    }
-    let which: Vec<&str> = args.iter().map(String::as_str).collect();
-    let all = which.is_empty();
-    if all || which.contains(&"table2") {
-        print_table2();
-    }
-    if all || which.contains(&"table3") {
-        print_table3();
-    }
-    if all || which.contains(&"table4") {
-        print_table4();
-    }
-    if all || which.contains(&"table5") {
-        print_table5();
-    }
-    if all || which.contains(&"table6") {
-        print_table6();
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["--bench-json", rest @ ..] => bench_json(rest),
+        ["--out"] => write_out("artifacts"),
+        ["--out", dir] => write_out(dir),
+        ["--json"] => print_json(),
+        names => {
+            let tables: [(&str, fn()); 5] = [
+                ("table2", print_table2),
+                ("table3", print_table3),
+                ("table4", print_table4),
+                ("table5", print_table5),
+                ("table6", print_table6),
+            ];
+            if let Some(bad) = names.iter().find(|n| !tables.iter().any(|(t, _)| t == *n)) {
+                usage_error(&format!("unknown argument {bad:?}"));
+            }
+            for (name, print) in tables {
+                if names.is_empty() || names.contains(&name) {
+                    print();
+                }
+            }
+        }
     }
 }

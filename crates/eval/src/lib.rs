@@ -16,7 +16,7 @@ pub mod stats;
 pub mod tables;
 pub mod varid;
 
-pub use detection::{run_baseline, run_detection, surrogates, Exchange};
+pub use detection::{run_baseline, run_detection, run_detection_cells, surrogates, Exchange};
 pub use metrics::{Agreement, Confusion};
 pub use parse::{parse_pairs, parse_verdict, ParsedPair, Verdict};
 pub use stats::{compare_classifiers, mcnemar_exact, PairedOutcomes};
@@ -24,4 +24,7 @@ pub use tables::{
     corpus_surrogates, corpus_views, cv_tables_with_workers, format_cv_table,
     format_detection_table, table2, table3, table4, table5, table6, CvRow, DetectionRow,
 };
-pub use varid::{match_level, pair_matches, run_varid, run_varid_levels, MatchLevel, VarIdExchange};
+pub use varid::{
+    match_level, pair_matches, run_varid, run_varid_cells, run_varid_levels, MatchLevel,
+    VarIdExchange,
+};

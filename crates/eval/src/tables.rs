@@ -5,12 +5,13 @@
 //! the artifacts and EXPERIMENTS.md can diff them against the published
 //! values.
 
-use crate::detection::{run_baseline, run_detection};
+use crate::detection::{run_baseline, run_detection_cells};
 use crate::metrics::Confusion;
-use crate::varid::run_varid;
+use crate::varid::run_varid_cells;
 use drb_ml::Dataset;
 use finetune::{folds_for, mean, std_dev, FineTuned, TrainConfig};
 use llm::{KernelView, ModelKind, PromptStrategy, Surrogate, VarIdOutcome};
+use par::default_workers;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -106,50 +107,65 @@ fn surrogate(m: ModelKind) -> &'static Surrogate {
     &corpus_surrogates().iter().find(|(k, _)| *k == m).expect("all models calibrated").1
 }
 
-/// Table 2 — GPT-3.5-turbo with basic prompts BP1/BP2.
-pub fn table2() -> Vec<DetectionRow> {
-    let vs = corpus_views();
-    let s = surrogate(ModelKind::Gpt35Turbo);
-    [PromptStrategy::Bp1, PromptStrategy::Bp2]
+/// One detection row per (model, prompt) cell, from one fan-out over
+/// every (cell × kernel) chat.
+fn detection_rows(cells: &[(ModelKind, PromptStrategy)], workers: usize) -> Vec<DetectionRow> {
+    let runs: Vec<(&Surrogate, PromptStrategy)> =
+        cells.iter().map(|&(m, p)| (surrogate(m), p)).collect();
+    run_detection_cells(&runs, corpus_views(), workers)
         .into_iter()
-        .map(|p| DetectionRow {
-            model: "GPT3".into(),
+        .zip(cells)
+        .map(|((confusion, _), &(m, p))| DetectionRow {
+            model: m.short().into(),
             prompt: p.label().into(),
-            confusion: run_detection(s, p, vs).0,
+            confusion,
         })
         .collect()
 }
 
+/// Table 2 — GPT-3.5-turbo with basic prompts BP1/BP2.
+pub fn table2() -> Vec<DetectionRow> {
+    table2_at(default_workers())
+}
+
+fn table2_at(workers: usize) -> Vec<DetectionRow> {
+    let cells = [PromptStrategy::Bp1, PromptStrategy::Bp2].map(|p| (ModelKind::Gpt35Turbo, p));
+    detection_rows(&cells, workers)
+}
+
 /// Table 3 — Inspector baseline + four LLMs × {p1, p2, p3}.
 pub fn table3() -> Vec<DetectionRow> {
-    let vs = corpus_views();
+    table3_at(default_workers())
+}
+
+fn table3_at(workers: usize) -> Vec<DetectionRow> {
+    let cells: Vec<(ModelKind, PromptStrategy)> = ModelKind::ALL
+        .iter()
+        .flat_map(|&m| [PromptStrategy::P1, PromptStrategy::P2, PromptStrategy::P3].map(|p| (m, p)))
+        .collect();
     let mut rows = vec![DetectionRow {
         model: "Ins".into(),
         prompt: "N/A".into(),
-        confusion: run_baseline(vs),
+        confusion: run_baseline(corpus_views()),
     }];
-    for m in ModelKind::ALL {
-        let s = surrogate(m);
-        for p in [PromptStrategy::P1, PromptStrategy::P2, PromptStrategy::P3] {
-            rows.push(DetectionRow {
-                model: m.short().into(),
-                prompt: p.label().into(),
-                confusion: run_detection(s, p, vs).0,
-            });
-        }
-    }
+    rows.extend(detection_rows(&cells, workers));
     rows
 }
 
 /// Table 5 — variable identification, four LLMs.
 pub fn table5() -> Vec<DetectionRow> {
-    let vs = corpus_views();
-    ModelKind::ALL
-        .iter()
-        .map(|&m| DetectionRow {
+    table5_at(default_workers())
+}
+
+fn table5_at(workers: usize) -> Vec<DetectionRow> {
+    let surrogates = ModelKind::ALL.map(surrogate);
+    run_varid_cells(&surrogates, corpus_views(), workers)
+        .into_iter()
+        .zip(ModelKind::ALL)
+        .map(|((confusion, _), m)| DetectionRow {
             model: m.short().into(),
             prompt: "varid".into(),
-            confusion: run_varid(surrogate(m), vs).0,
+            confusion,
         })
         .collect()
 }
@@ -265,7 +281,7 @@ pub fn cv_tables_with_workers(workers: usize) -> (Vec<CvRow>, Vec<CvRow>) {
 /// the corpus; every caller after the first gets the cached rows).
 fn cv_tables_cached() -> &'static (Vec<CvRow>, Vec<CvRow>) {
     static TABLES: OnceLock<(Vec<CvRow>, Vec<CvRow>)> = OnceLock::new();
-    TABLES.get_or_init(|| cv_tables_with_workers(par::default_workers()))
+    TABLES.get_or_init(|| cv_tables_with_workers(default_workers()))
 }
 
 /// Table 4 — 5-fold CV, detection, StarChat-β and Llama2-7b ± FT.
@@ -361,11 +377,21 @@ mod tests {
                 fresh.push(DetectionRow {
                     model: m.short().into(),
                     prompt: p.label().into(),
-                    confusion: run_detection(&s, p, &vs).0,
+                    confusion: crate::run_detection(&s, p, &vs).0,
                 });
             }
         }
         assert_eq!(fresh, cached);
+    }
+
+    /// One fan-out per table is a pure throughput change: the rows are
+    /// identical on one worker and on eight.
+    #[test]
+    fn detection_tables_equal_at_1_and_8_workers() {
+        assert_eq!(table2_at(1), table2_at(8));
+        assert_eq!(table3_at(1), table3_at(8));
+        assert_eq!(table5_at(1), table5_at(8));
+        assert_eq!(table3_at(8), table3());
     }
 
     #[test]

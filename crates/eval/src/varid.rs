@@ -4,6 +4,7 @@
 //! *fully* correct — names, line numbers, and operations (§4.3's strict
 //! standard, which is why Table 5's scores collapse to 0.06–0.19).
 
+use crate::detection::per_cell;
 use crate::metrics::Confusion;
 use crate::parse::{parse_pairs, ParsedPair};
 use llm::{KernelView, Surrogate};
@@ -146,33 +147,50 @@ pub fn run_varid_levels(surrogate: &Surrogate, views: &[KernelView]) -> (Confusi
     (s2, s3)
 }
 
-/// Run variable identification for one model over a subset.
+/// Run variable identification for several models in one fan-out over
+/// every (model × kernel) exchange. Returns each model's confusion and
+/// exchanges, in model order; the result does not depend on `workers`.
 ///
 /// Cells per the paper's Table-5 definitions: TP = race-yes with fully
 /// correct pair info; TN = race-no without invented pair info.
-pub fn run_varid(surrogate: &Surrogate, views: &[KernelView]) -> (Confusion, Vec<VarIdExchange>) {
-    let exchanges = par_map(views, default_workers(), |k| {
-        let response = surrogate.answer_varid(k);
+pub fn run_varid_cells(
+    surrogates: &[&Surrogate],
+    views: &[KernelView],
+    workers: usize,
+) -> Vec<(Confusion, Vec<VarIdExchange>)> {
+    per_cell(surrogates.len(), views, workers, |c, k| {
+        let response = surrogates[c].answer_varid(k);
         let parsed = parse_pairs(&response);
         let gave_pairs = parsed.is_some();
         let fully_correct = parsed.as_ref().is_some_and(|p| pair_matches(p, k));
         VarIdExchange { id: k.id, response, gave_pairs, fully_correct, truth: k.race }
-    });
-    let mut c = Confusion::default();
-    for e in &exchanges {
-        if e.truth {
-            if e.fully_correct {
-                c.tp += 1;
+    })
+    .into_iter()
+    .map(|exchanges| {
+        let mut c = Confusion::default();
+        for e in &exchanges {
+            if e.truth {
+                if e.fully_correct {
+                    c.tp += 1;
+                } else {
+                    c.fn_ += 1;
+                }
+            } else if e.gave_pairs {
+                c.fp += 1;
             } else {
-                c.fn_ += 1;
+                c.tn += 1;
             }
-        } else if e.gave_pairs {
-            c.fp += 1;
-        } else {
-            c.tn += 1;
         }
-    }
-    (c, exchanges)
+        (c, exchanges)
+    })
+    .collect()
+}
+
+/// Run variable identification for one model over a subset: the
+/// one-cell case of [`run_varid_cells`].
+pub fn run_varid(surrogate: &Surrogate, views: &[KernelView]) -> (Confusion, Vec<VarIdExchange>) {
+    let mut cells = run_varid_cells(&[surrogate], views, default_workers());
+    cells.pop().expect("one cell in, one cell out")
 }
 
 #[cfg(test)]

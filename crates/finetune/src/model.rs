@@ -74,6 +74,10 @@ impl TrainScratch {
     }
 }
 
+/// Adapter rows whose `A·x` dot products [`LoraHead::adam_step_scratch`]
+/// accumulates side by side.
+const AX_BLOCK: usize = 4;
+
 /// A rank-`r` adapter over a `dim`-wide linear head.
 ///
 /// The effective weight applied to input `x` is
@@ -215,9 +219,10 @@ impl LoraHead {
     ///
     /// Gradients are bit-identical to [`LoraHead::grads`]: the dropped
     /// input and the base-head dot product are fused into one pass that
-    /// preserves the reference accumulation order, `A·x` reuses the same
-    /// left-to-right zip, and the hoisted `err·scale·B_r` factor keeps
-    /// the reference's left-associated multiply order. The (unused) loss
+    /// preserves the reference accumulation order, each row of `A·x` sums
+    /// left to right as the reference does (rows interleaved in blocks),
+    /// and the hoisted `err·scale·B_r` factor keeps the reference's
+    /// left-associated multiply order. The (unused) loss
     /// is not computed.
     pub fn adam_step_scratch(
         &mut self,
@@ -246,15 +251,34 @@ impl LoraHead {
             *xd = xi;
             z += w * xi;
         }
-        // Adapter forward, activations kept for the backward pass.
-        for r in 0..self.rank {
-            let row = &a[r * dim..(r + 1) * dim];
+        // Adapter forward, activations kept for the backward pass. Rows
+        // go in blocks of `AX_BLOCK` accumulators over one pass of the
+        // input, so their independent add chains overlap; each row still
+        // sums j = 0..dim in order, so every activation is bit-identical
+        // to a row-at-a-time dot product.
+        let xd = &scratch.xd[..dim];
+        let mut r = 0;
+        while r + AX_BLOCK <= self.rank {
+            let rows: [&[f64]; AX_BLOCK] =
+                std::array::from_fn(|i| &a[(r + i) * dim..(r + i + 1) * dim]);
+            let mut acc = [0.0f64; AX_BLOCK];
+            for (j, &xi) in xd.iter().enumerate() {
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    *acc += row[j] * xi;
+                }
+            }
+            scratch.ax[r..r + AX_BLOCK].copy_from_slice(&acc);
+            r += AX_BLOCK;
+        }
+        for r in r..self.rank {
             let mut ax = 0.0;
-            for (a, xi) in row.iter().zip(&scratch.xd) {
+            for (a, xi) in a[r * dim..(r + 1) * dim].iter().zip(xd) {
                 ax += a * xi;
             }
             scratch.ax[r] = ax;
-            z += scale * b[r] * ax;
+        }
+        for (&b, &ax) in b.iter().zip(&scratch.ax) {
+            z += scale * b * ax;
         }
 
         let err = sigmoid(z) - y; // dL/dz for cross-entropy + sigmoid
@@ -369,25 +393,28 @@ mod tests {
 
     #[test]
     fn fused_step_gradients_match_reference_bitwise() {
-        let mut rng = crate::train::Rng::new(11);
-        let dim = 13;
-        let rank = 4;
-        let w: Vec<f64> = (0..dim).map(|_| rng.uniform() - 0.5).collect();
-        let mut head = LoraHead::new(w, 0.2, rank, 16.0, 5);
-        let cfg = crate::adam::AdamConfig { lr: 0.01, ..Default::default() };
-        let mut opt = crate::adam::Adam::new(head.adapter_params(), cfg);
-        let mut scratch = TrainScratch::new(rank, dim);
-        let mut mask_rng = crate::train::Rng::new(99);
-        for step in 0..50 {
-            let x: Vec<f64> =
-                (0..dim).map(|i| (((step * dim + i) as f64) * 0.37).sin()).collect();
-            let y = f64::from(step % 2 == 0);
-            scratch.fill_mask(&mut mask_rng, 0.3);
-            let (ga, gb, _) = head.grads(&x, y, &scratch.mask);
-            head.adam_step_scratch(&x, y, &mut opt, &mut scratch);
-            let (sa, sb) = scratch.grads.split_at(rank * dim);
-            assert_eq!(sa, &ga[..], "grad_A diverged at step {step}");
-            assert_eq!(sb, &gb[..], "grad_B diverged at step {step}");
+        // Ranks below, at, between and at twice the `A·x` block width,
+        // so both the blocked rows and the leftover rows are covered.
+        for rank in [1, AX_BLOCK, AX_BLOCK + 2, 2 * AX_BLOCK] {
+            let mut rng = crate::train::Rng::new(11);
+            let dim = 13;
+            let w: Vec<f64> = (0..dim).map(|_| rng.uniform() - 0.5).collect();
+            let mut head = LoraHead::new(w, 0.2, rank, 16.0, 5);
+            let cfg = crate::adam::AdamConfig { lr: 0.01, ..Default::default() };
+            let mut opt = crate::adam::Adam::new(head.adapter_params(), cfg);
+            let mut scratch = TrainScratch::new(rank, dim);
+            let mut mask_rng = crate::train::Rng::new(99);
+            for step in 0..50 {
+                let x: Vec<f64> =
+                    (0..dim).map(|i| (((step * dim + i) as f64) * 0.37).sin()).collect();
+                let y = f64::from(step % 2 == 0);
+                scratch.fill_mask(&mut mask_rng, 0.3);
+                let (ga, gb, _) = head.grads(&x, y, &scratch.mask);
+                head.adam_step_scratch(&x, y, &mut opt, &mut scratch);
+                let (sa, sb) = scratch.grads.split_at(rank * dim);
+                assert_eq!(sa, &ga[..], "rank {rank}: grad_A diverged at step {step}");
+                assert_eq!(sb, &gb[..], "rank {rank}: grad_B diverged at step {step}");
+            }
         }
     }
 

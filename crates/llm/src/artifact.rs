@@ -6,7 +6,7 @@
 //! per fold and epoch, and the baseline re-parsed per sweep. An
 //! [`AnalyzedKernel`] bundles all of it, computed exactly once per
 //! kernel and shared through [`KernelView`](crate::KernelView)'s
-//! `Arc`-held cache: the parsed AST, the token stream, the structural
+//! `Arc`-held cache: the parsed AST, the token ids, the structural
 //! [`CodeFeatures`], the dense feature vector, and the hashed n-gram
 //! vector the fine-tuning crate consumes.
 //!
@@ -19,7 +19,7 @@
 
 use crate::features::CodeFeatures;
 use crate::profile::{ModelKind, PromptStrategy};
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer::token_ids;
 use std::sync::OnceLock;
 
 /// Width of the hashed n-gram vector.
@@ -32,9 +32,9 @@ fn mix(h: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hash a token stream into a normalized n-gram vector (signed feature
-/// hashing over unigrams and bigrams keeps collisions unbiased).
-pub fn ngram_vector_of(toks: &[Token]) -> Vec<f64> {
+/// Hash a token-id stream into a normalized n-gram vector (signed
+/// feature hashing over unigrams and bigrams keeps collisions unbiased).
+pub fn ngram_vector_of(ids: &[u32]) -> Vec<f64> {
     let mut v = vec![0.0f64; NGRAM_DIM];
     let mut push = |h: u64| {
         let m = mix(h);
@@ -42,12 +42,12 @@ pub fn ngram_vector_of(toks: &[Token]) -> Vec<f64> {
         let sign = if (m >> 63) & 1 == 0 { 1.0 } else { -1.0 };
         v[idx] += sign;
     };
-    for w in toks.windows(2) {
-        push(w[0].id as u64);
-        push(((w[0].id as u64) << 32) | w[1].id as u64);
+    for w in ids.windows(2) {
+        push(w[0] as u64);
+        push(((w[0] as u64) << 32) | w[1] as u64);
     }
-    if let Some(last) = toks.last() {
-        push(last.id as u64);
+    if let Some(&last) = ids.last() {
+        push(last as u64);
     }
     // L2 normalize so gradient scales are independent of code length.
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -61,7 +61,7 @@ pub fn ngram_vector_of(toks: &[Token]) -> Vec<f64> {
 
 /// Hash a code snippet into a normalized n-gram vector.
 pub fn ngram_vector(code: &str) -> Vec<f64> {
-    ngram_vector_of(&tokenize(code))
+    ngram_vector_of(&token_ids(code))
 }
 
 /// Lock-free memo of calibrated surrogate yes/no answers for one kernel.
@@ -118,8 +118,10 @@ pub struct AnalyzedKernel {
     /// Parsed AST (`None` when the code does not parse; downstream
     /// consumers degrade exactly as they did when re-parsing).
     pub ast: Option<minic::TranslationUnit>,
-    /// The full token stream (its length is the 4k-filter token count).
-    pub tokens: Vec<Token>,
+    /// The token ids of the trimmed code, in order (its length is the
+    /// 4k-filter token count). Texts are not kept: the one consumer that
+    /// needs them re-scans the code.
+    pub tokens: Vec<u32>,
     /// Structural comprehension features.
     pub features: CodeFeatures,
     /// `features.to_vector()`, cached.
@@ -150,7 +152,7 @@ impl AnalyzedKernel {
     /// end-to-end pipeline — parse once themselves and still share the
     /// result.
     pub fn from_parsed(trimmed_code: &str, ast: Option<minic::TranslationUnit>) -> AnalyzedKernel {
-        let tokens = tokenize(trimmed_code);
+        let tokens = token_ids(trimmed_code);
         let features = CodeFeatures::from_parts(tokens.len(), ast.as_ref());
         let feature_vec = features.to_vector();
         let ngram_vec = ngram_vector_of(&tokens);
@@ -214,7 +216,9 @@ mod tests {
 
     #[test]
     fn ngram_vector_matches_token_form() {
-        assert_eq!(ngram_vector(RACY), ngram_vector_of(&tokenize(RACY)));
+        assert_eq!(ngram_vector(RACY), ngram_vector_of(&token_ids(RACY)));
+        let ids: Vec<u32> = crate::tokenizer::tokenize(RACY).iter().map(|t| t.id).collect();
+        assert_eq!(AnalyzedKernel::analyze(RACY).tokens, ids);
     }
 
     #[test]

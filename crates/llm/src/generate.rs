@@ -370,21 +370,22 @@ impl Surrogate {
     }
 
     fn some_identifier(&self, k: &KernelView) -> Option<String> {
-        let toks = &k.artifact().tokens;
+        // Runs only for corrupted pair answers, so the token texts are
+        // re-scanned here rather than kept on every artifact.
         let j = jitter(self.kind(), 239, k.id);
-        let idents: Vec<&str> = toks
-            .iter()
-            .map(|t| t.text.as_str())
-            .filter(|t| {
-                t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                    && t.chars().next().is_some_and(|c| c.is_ascii_alphabetic())
-                    && ![
-                        "int", "for", "if", "else", "return", "pragma", "omp", "parallel",
-                        "double", "float", "long", "void", "main", "include", "printf",
-                    ]
-                    .contains(t)
-            })
-            .collect();
+        let mut idents: Vec<&str> = Vec::new();
+        crate::tokenizer::scan(&k.trimmed_code, |t| {
+            if t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                && t.chars().next().is_some_and(|c| c.is_ascii_alphabetic())
+                && ![
+                    "int", "for", "if", "else", "return", "pragma", "omp", "parallel", "double",
+                    "float", "long", "void", "main", "include", "printf",
+                ]
+                .contains(&t)
+            {
+                idents.push(t);
+            }
+        });
         if idents.is_empty() {
             return None;
         }

@@ -7,9 +7,6 @@
 //! of bounded length, with a merge table that keeps common C/OpenMP
 //! lexemes as single tokens.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
-
 /// A token: its text and a stable vocabulary id.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Token {
@@ -19,100 +16,116 @@ pub struct Token {
     pub id: u32,
 }
 
-impl Token {
-    fn new(text: impl Into<String>) -> Self {
-        let text = text.into();
-        let id = fnv(&text) & 0x7FFF_FFFF;
-        Token { text, id }
-    }
-}
-
-fn fnv(s: &str) -> u32 {
+/// The stable vocabulary id of a token text (FNV-1a folded to 31 bits).
+fn token_id(text: &str) -> u32 {
     let mut h: u32 = 0x811C_9DC5;
-    for b in s.bytes() {
+    for b in text.bytes() {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
     }
-    h
-}
-
-/// Lexemes kept whole by the merge table (common C/OpenMP vocabulary).
-fn merges() -> &'static HashMap<&'static str, ()> {
-    static M: OnceLock<HashMap<&'static str, ()>> = OnceLock::new();
-    M.get_or_init(|| {
-        let words = [
-            "int", "long", "float", "double", "char", "void", "return", "for", "while", "if",
-            "else", "break", "continue", "static", "const", "include", "define", "pragma",
-            "omp", "parallel", "critical", "atomic", "barrier", "single", "master", "section",
-            "sections", "task", "taskwait", "simd", "ordered", "reduction", "private",
-            "firstprivate", "lastprivate", "shared", "schedule", "nowait", "collapse",
-            "num_threads", "threadprivate", "default", "dynamic", "guided", "runtime",
-            "printf", "main", "argc", "argv", "omp_get_thread_num", "omp_get_num_threads",
-            "omp_set_lock", "omp_unset_lock", "omp_init_lock", "omp_destroy_lock",
-            "omp_lock_t", "sizeof", "malloc", "free", "capture", "target", "teams",
-            "distribute", "map", "tofrom", "safelen", "depend", "inout", "flush",
-        ];
-        words.iter().map(|w| (*w, ())).collect()
-    })
+    h & 0x7FFF_FFFF
 }
 
 /// Maximum identifier-piece length for unknown words (BPE fragments).
 const PIECE: usize = 4;
 
-/// Tokenize source text.
-pub fn tokenize(src: &str) -> Vec<Token> {
-    let mut out = Vec::with_capacity(src.len() / 3 + 4);
+/// The merge table: common C/OpenMP lexemes kept whole, sorted for
+/// binary search. Only words longer than [`PIECE`] are listed, since
+/// shorter words (`int`, `for`, `omp`, `simd`, `task`, `main`, …) stay
+/// whole anyway.
+const MERGES: &[&str] = &[
+    "atomic", "barrier", "break", "capture", "collapse", "const", "continue", "critical",
+    "default", "define", "depend", "distribute", "double", "dynamic", "firstprivate", "float",
+    "flush", "guided", "include", "inout", "lastprivate", "malloc", "master", "nowait",
+    "num_threads", "omp_destroy_lock", "omp_get_num_threads", "omp_get_thread_num",
+    "omp_init_lock", "omp_lock_t", "omp_set_lock", "omp_unset_lock", "ordered", "parallel",
+    "pragma", "printf", "private", "reduction", "return", "runtime", "safelen", "schedule",
+    "section", "sections", "shared", "single", "sizeof", "static", "target", "taskwait",
+    "teams", "threadprivate", "tofrom", "while",
+];
+
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Walk `src` and hand each token's text to `emit`, in order, without
+/// allocating. Every public entry point below is built on this one scan,
+/// so counting and tokenizing cannot disagree.
+///
+/// * ASCII whitespace folds into the following token (GPT-style), except
+///   that each newline is a token of its own (the text `\\n`).
+/// * A word (`[A-Za-z0-9_]+`) is one token when it is at most [`PIECE`]
+///   bytes or in [`MERGES`]; otherwise it splits into `PIECE`-byte
+///   pieces (BPE fragments).
+/// * Two-character operators are one token; other ASCII punctuation is
+///   one token per byte.
+/// * Each non-ASCII character is one token.
+pub(crate) fn scan<'a>(src: &'a str, mut emit: impl FnMut(&'a str)) {
     let bytes = src.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
         if b.is_ascii_whitespace() {
-            // Whitespace folds into the following token (GPT-style); runs
-            // of newlines count as one token each.
             if b == b'\n' {
-                out.push(Token::new("\\n"));
+                emit("\\n");
             }
             i += 1;
-            continue;
-        }
-        if b.is_ascii_alphanumeric() || b == b'_' {
+        } else if is_word_byte(b) {
             let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+            while i < bytes.len() && is_word_byte(bytes[i]) {
                 i += 1;
             }
             let word = &src[start..i];
-            if merges().contains_key(word) || word.len() <= PIECE {
-                out.push(Token::new(word));
+            if word.len() <= PIECE || MERGES.binary_search(&word).is_ok() {
+                emit(word);
             } else {
-                let mut rest = word;
-                while !rest.is_empty() {
-                    let cut = PIECE.min(rest.len());
-                    out.push(Token::new(&rest[..cut]));
-                    rest = &rest[cut..];
+                // Words are ASCII, so every byte offset is a char boundary.
+                for at in (0..word.len()).step_by(PIECE) {
+                    emit(&word[at..(at + PIECE).min(word.len())]);
                 }
             }
-            continue;
-        }
-        // Punctuation: greedily take two-char operators.
-        let two = src.get(i..i + 2).unwrap_or("");
-        if matches!(
-            two,
-            "==" | "!=" | "<=" | ">=" | "&&" | "||" | "+=" | "-=" | "*=" | "/=" | "%=" | "++"
-                | "--" | "<<" | ">>" | "->"
-        ) {
-            out.push(Token::new(two));
-            i += 2;
+        } else if !b.is_ascii() {
+            let len = src[i..].chars().next().map_or(1, char::len_utf8);
+            emit(&src[i..i + len]);
+            i += len;
         } else {
-            out.push(Token::new(&src[i..i + 1]));
-            i += 1;
+            // Punctuation: greedily take two-char operators.
+            let two = src.get(i..i + 2).unwrap_or("");
+            let len = if matches!(
+                two,
+                "==" | "!=" | "<=" | ">=" | "&&" | "||" | "+=" | "-=" | "*=" | "/=" | "%=" | "++"
+                    | "--" | "<<" | ">>" | "->"
+            ) {
+                2
+            } else {
+                1
+            };
+            emit(&src[i..i + len]);
+            i += len;
         }
     }
+}
+
+/// Tokenize source text.
+pub fn tokenize(src: &str) -> Vec<Token> {
+    let mut out = Vec::with_capacity(src.len() / 3 + 4);
+    scan(src, |text| out.push(Token { text: text.to_string(), id: token_id(text) }));
     out
 }
 
-/// Token count (the only thing the DRB-ML filter needs).
+/// The token ids of source text (what [`tokenize`] would return, without
+/// the texts).
+pub(crate) fn token_ids(src: &str) -> Vec<u32> {
+    let mut out = Vec::with_capacity(src.len() / 3 + 4);
+    scan(src, |text| out.push(token_id(text)));
+    out
+}
+
+/// Token count (the only thing the DRB-ML filter needs). Allocation-free.
 pub fn count_tokens(src: &str) -> usize {
-    tokenize(src).len()
+    let mut n = 0;
+    scan(src, |_| n += 1);
+    n
 }
 
 /// The context budget used by the paper's filter.
@@ -178,5 +191,23 @@ int main(void) {
     #[test]
     fn empty_is_empty() {
         assert_eq!(count_tokens(""), 0);
+    }
+
+    #[test]
+    fn merge_table_is_sorted_and_only_long_words() {
+        assert!(MERGES.windows(2).all(|w| w[0] < w[1]));
+        assert!(MERGES.iter().all(|w| w.len() > PIECE));
+        let texts = |s: &str| tokenize(s).into_iter().map(|t| t.text).collect::<Vec<_>>();
+        assert_eq!(texts("omp_get_thread_num"), ["omp_get_thread_num"]);
+        assert_eq!(texts("omp_get_thread_id"), ["omp_", "get_", "thre", "ad_i", "d"]);
+    }
+
+    #[test]
+    fn non_ascii_characters_are_one_token_each() {
+        let toks = tokenize("printf(\"naïve→ok\");");
+        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(texts, ["printf", "(", "\"", "na", "ï", "ve", "→", "ok", "\"", ")", ";"]);
+        assert_eq!(count_tokens("é\u{a0}x🦀"), 4);
+        assert_eq!(token_ids("naïve"), toks[3..6].iter().map(|t| t.id).collect::<Vec<_>>());
     }
 }

@@ -1,4 +1,5 @@
-//! Property tests for the surrogate stack: tokenizer reconstruction,
+//! Property tests for the surrogate stack: tokenizer reconstruction and
+//! agreement over arbitrary strings,
 //! calibration quota exactness on random corpora, and decision
 //! determinism.
 
@@ -35,22 +36,54 @@ fn arb_corpus() -> impl Strategy<Value = Vec<KernelInfo>> {
     })
 }
 
+/// The ASCII half of [`arb_text`]'s alphabet: C-ish text, every ASCII
+/// whitespace byte, and the two-character operators' halves.
+const C_ISH: &[u8] =
+    b"int omp_get_thread_num parallel_region x1 ;(){}[]=+-*/%<>!&|#\"'\\.,:\t\n\r";
+
+/// Strings of up to `max` characters: half C-ish ASCII, a quarter
+/// two-byte UTF-8, a quarter any Unicode scalar value.
+fn arb_text(max: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec((any::<u8>(), any::<u32>()), 0..=max).prop_map(|cs| {
+        cs.into_iter()
+            .map(|(pick, c)| match pick % 4 {
+                0 => char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'),
+                1 => char::from_u32(0x80 + c % 0x780).unwrap_or('é'),
+                _ => C_ISH[c as usize % C_ISH.len()] as char,
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn tokenizer_preserves_non_whitespace(s in "[ -~\n]{0,300}") {
+    fn tokenizer_preserves_non_whitespace(s in arb_text(300)) {
         let toks = llm::tokenize(&s);
         let reconstructed: String = toks
             .iter()
             .map(|t| if t.text == "\\n" { String::new() } else { t.text.clone() })
             .collect();
-        let orig: String = s.chars().filter(|c| !c.is_whitespace()).collect();
+        let orig: String = s.chars().filter(|c| !c.is_ascii_whitespace()).collect();
         prop_assert_eq!(reconstructed, orig);
     }
 
     #[test]
-    fn token_count_subadditive_under_concat(a in "[a-z ;(){}=+]{0,100}", b in "[a-z ;(){}=+]{0,100}") {
+    fn counting_ids_and_artifact_agree_with_tokenize(s in arb_text(300)) {
+        let toks = llm::tokenize(&s);
+        let ids: Vec<u32> = toks.iter().map(|t| t.id).collect();
+        prop_assert_eq!(llm::count_tokens(&s), toks.len());
+        prop_assert_eq!(&llm::AnalyzedKernel::analyze(&s).tokens, &ids);
+        // Every non-ASCII character is a token of its own.
+        for c in s.chars().filter(|c| !c.is_ascii()) {
+            let text = c.to_string();
+            prop_assert!(toks.iter().any(|t| t.text == text));
+        }
+    }
+
+    #[test]
+    fn token_count_subadditive_under_concat(a in arb_text(100), b in arb_text(100)) {
         // Concatenation can merge at most the boundary tokens.
         let joined = format!("{a} {b}");
         prop_assert!(llm::count_tokens(&joined) <= llm::count_tokens(&a) + llm::count_tokens(&b) + 1);

@@ -55,7 +55,8 @@ impl From<Verdicts> for WireVerdicts {
 }
 
 /// Racing variable pair in the paper's variable-identification wire
-/// shape (the same keys `eval::parse_pairs` reads from LLM responses).
+/// shape (the same keys the evaluation harness, `eval::parse_pairs`,
+/// reads from LLM responses).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WirePairs {
     /// Root variable names of the two conflicting accesses.
