@@ -4,21 +4,20 @@
 //! (no candidates enumerated).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use racellm::repair::{fix, RepairConfig};
+use racellm::repair::fix;
 use std::hint::black_box;
 
 const RACY_SUM: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
 const CLEAN: &str = "int a[64];\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) a[i] = i * 2;\n  return 0;\n}\n";
 
 fn repair_loop(c: &mut Criterion) {
-    let cfg = RepairConfig::default();
     let mut g = c.benchmark_group("repair");
     g.sample_size(20);
     g.bench_function("fix_racy_sum_cold", |b| {
-        b.iter(|| black_box(fix(black_box(RACY_SUM), &cfg)))
+        b.iter(|| black_box(fix(black_box(RACY_SUM))))
     });
     g.bench_function("fix_clean_kernel", |b| {
-        b.iter(|| black_box(fix(black_box(CLEAN), &cfg)))
+        b.iter(|| black_box(fix(black_box(CLEAN))))
     });
     g.finish();
 }
@@ -32,12 +31,11 @@ fn repair_corpus_slice(c: &mut Criterion) {
         .step_by(20)
         .map(|k| k.trimmed_code.as_str())
         .collect();
-    let cfg = RepairConfig::default();
     let mut g = c.benchmark_group("repair_corpus");
     g.sample_size(10);
     g.bench_function("fix_racy_slice", |b| {
         b.iter(|| {
-            kernels.iter().filter(|k| fix(k, &cfg).fix().is_some()).count()
+            kernels.iter().filter(|k| fix(k).fix().is_some()).count()
         })
     });
     g.finish();

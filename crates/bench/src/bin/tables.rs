@@ -282,7 +282,6 @@ fn write_bench_finetune_json(path: &str) {
 fn write_bench_repair_json(path: &str) {
     use racellm::repair;
 
-    let cfg = repair::RepairConfig::default();
     let workers = par::default_workers();
 
     let time = |f: &dyn Fn() -> repair::SweepSummary| {
@@ -297,8 +296,8 @@ fn write_bench_repair_json(path: &str) {
         (summary, best)
     };
 
-    let (rows_serial, serial) = time(&|| repair::sweep_corpus_with_workers(&cfg, 1));
-    let (rows_parallel, parallel) = time(&|| repair::sweep_corpus_with_workers(&cfg, workers));
+    let (rows_serial, serial) = time(&|| repair::sweep_corpus_with_workers(1));
+    let (rows_parallel, parallel) = time(&|| repair::sweep_corpus_with_workers(workers));
     assert_eq!(rows_serial, rows_parallel, "worker count changed a sweep row");
 
     let fixed_rows: Vec<_> =
@@ -316,7 +315,7 @@ fn write_bench_repair_json(path: &str) {
         "fixed_racy": rows_serial.fixed_racy(),
         "repair_rate_percent": rows_serial.repair_rate(),
         "mean_patch_lines": mean_patch_lines,
-        "certification_seeds": cfg.seeds.clone(),
+        "certification_seeds": racellm::xcheck::DEFAULT_SEEDS.to_vec(),
         "workers": workers,
         "seconds": serde_json::json!({
             "serial": serial,

@@ -8,7 +8,7 @@ use crate::detection::per_cell;
 use crate::metrics::Confusion;
 use crate::parse::{parse_pairs, ParsedPair};
 use llm::{KernelView, Surrogate};
-use par::{default_workers, par_map};
+use par::default_workers;
 
 /// Normalize an lvalue text for comparison (whitespace-insensitive).
 fn norm(s: &str) -> String {
@@ -61,8 +61,8 @@ pub fn pair_matches(parsed: &ParsedPair, k: &KernelView) -> bool {
 
 /// How much of the pair information matched (the paper's S2 vs S3
 /// scenarios: S2 = the right variables, S3 = full name/line/operation
-/// detail).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// detail). Levels are ordered: each implies the ones before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum MatchLevel {
     /// Nothing matched (or no pairs given).
     #[default]
@@ -104,47 +104,35 @@ pub struct VarIdExchange {
     pub response: String,
     /// Whether the response contained pair info at all.
     pub gave_pairs: bool,
-    /// Whether that info matched the ground truth exactly.
-    pub fully_correct: bool,
+    /// How much of that info matched the ground truth
+    /// ([`MatchLevel::None`] when there was none).
+    pub level: MatchLevel,
     /// Ground truth.
     pub truth: bool,
 }
 
-/// Run variable identification scored at both S2 (names) and S3 (full
-/// detail) levels. Returns `(s2, s3)` confusions.
-pub fn run_varid_levels(surrogate: &Surrogate, views: &[KernelView]) -> (Confusion, Confusion) {
-    let levels = par_map(views, default_workers(), |k| {
-        let response = surrogate.answer_varid(k);
-        let parsed = parse_pairs(&response);
-        let gave = parsed.is_some();
-        let level = parsed.as_ref().map(|p| match_level(p, k)).unwrap_or(MatchLevel::None);
-        (k.race, gave, level)
-    });
-    let mut s2 = Confusion::default();
-    let mut s3 = Confusion::default();
-    for (race, gave, level) in levels {
-        if race {
-            if level == MatchLevel::Full {
-                s3.tp += 1;
-            } else {
-                s3.fn_ += 1;
-            }
-            if level != MatchLevel::None {
-                s2.tp += 1;
-            } else {
-                s2.fn_ += 1;
-            }
-        } else {
-            if gave {
-                s2.fp += 1;
-                s3.fp += 1;
-            } else {
-                s2.tn += 1;
-                s3.tn += 1;
-            }
+/// Score exchanges into a confusion: a race-yes kernel is a true
+/// positive when its pair info matched at `level` or better; a race-no
+/// kernel is a true negative when it invented no pair info.
+fn score(exchanges: &[VarIdExchange], level: MatchLevel) -> Confusion {
+    let mut c = Confusion::default();
+    for e in exchanges {
+        match (e.truth, e.level >= level, e.gave_pairs) {
+            (true, true, _) => c.tp += 1,
+            (true, false, _) => c.fn_ += 1,
+            (false, _, true) => c.fp += 1,
+            (false, _, false) => c.tn += 1,
         }
     }
-    (s2, s3)
+    c
+}
+
+/// Run variable identification scored at both S2 (names) and S3 (full
+/// detail) levels, from [`run_varid`]'s exchanges. Returns `(s2, s3)`
+/// confusions.
+pub fn run_varid_levels(surrogate: &Surrogate, views: &[KernelView]) -> (Confusion, Confusion) {
+    let (s3, exchanges) = run_varid(surrogate, views);
+    (score(&exchanges, MatchLevel::NamesOnly), s3)
 }
 
 /// Run variable identification for several models in one fan-out over
@@ -162,27 +150,11 @@ pub fn run_varid_cells(
         let response = surrogates[c].answer_varid(k);
         let parsed = parse_pairs(&response);
         let gave_pairs = parsed.is_some();
-        let fully_correct = parsed.as_ref().is_some_and(|p| pair_matches(p, k));
-        VarIdExchange { id: k.id, response, gave_pairs, fully_correct, truth: k.race }
+        let level = parsed.as_ref().map_or(MatchLevel::None, |p| match_level(p, k));
+        VarIdExchange { id: k.id, response, gave_pairs, level, truth: k.race }
     })
     .into_iter()
-    .map(|exchanges| {
-        let mut c = Confusion::default();
-        for e in &exchanges {
-            if e.truth {
-                if e.fully_correct {
-                    c.tp += 1;
-                } else {
-                    c.fn_ += 1;
-                }
-            } else if e.gave_pairs {
-                c.fp += 1;
-            } else {
-                c.tn += 1;
-            }
-        }
-        (c, exchanges)
-    })
+    .map(|exchanges| (score(&exchanges, MatchLevel::Full), exchanges))
     .collect()
 }
 

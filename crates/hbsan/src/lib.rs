@@ -18,13 +18,17 @@
 //! call nesting and [`MAX_HEAP_CELLS`] its heap, each raising an
 //! [`RtError`] in both engines.
 //!
-//! Running multiple seeds (`check_adversarial`) varies worksharing
-//! assignment and single-winner choices like re-running a real binary.
-//! The sweep runs the seeds in order on the calling thread and
-//! short-circuits when the first run never consulted the scheduler RNG —
-//! static schedules are seed-independent, so one run already covers
-//! every seed. Parallelism belongs to callers that fan out over kernels
-//! or requests.
+//! Running multiple seeds varies worksharing assignment and
+//! single-winner choices like re-running a real binary. [`sweep`] is
+//! the one seed loop: it runs the seeds in order on the calling thread,
+//! on either engine, and hands its caller each run's [`Observation`]
+//! with that run's report, so one execution per seed serves race
+//! detection and output comparison alike. It short-circuits when the
+//! first run never consulted the scheduler RNG — static schedules are
+//! seed-independent, so one run already covers every seed.
+//! [`check_adversarial`] and [`check_adversarial_compiled`] fold it into
+//! a merged report. Parallelism belongs to callers that fan out over
+//! kernels or requests.
 //!
 //! ```
 //! let report = hbsan::check_source(r#"
@@ -68,6 +72,7 @@ pub use vc::{clock_counts, reset_clock_counts};
 pub use exec::alloc_count as ir_alloc_count;
 
 use minic::TranslationUnit;
+use std::ops::ControlFlow;
 
 /// Run one schedule and analyze the trace.
 pub fn check(unit: &TranslationUnit, cfg: &Config) -> Result<DynReport, RtError> {
@@ -81,21 +86,50 @@ pub fn check_source(src: &str, cfg: &Config) -> Result<DynReport, Box<dyn std::e
     Ok(check(&unit, cfg)?)
 }
 
+/// The seed loop every sweep shares, on either engine. Calls
+/// `run_seed` once per seed, in seed order on the calling thread
+/// ([`observe_oracle`] on the oracle), analyzes each run's trace and
+/// hands `visit` the run's [`Observation`] and its report. Returns the
+/// seed-order merge of the reports of the runs it made.
+///
+/// The loop stops after the first run when that run never consulted
+/// the scheduler RNG (every other seed would replay its trace, so it
+/// stands for all of them), at the first error, which it returns, and
+/// after any run for which `visit` breaks.
+pub fn sweep(
+    seeds: &[u64],
+    mut run_seed: impl FnMut(u64) -> Result<(Observation, Trace), RtError>,
+    mut visit: impl FnMut(Observation, &DynReport) -> ControlFlow<()>,
+) -> Result<DynReport, RtError> {
+    let mut merged = DynReport::default();
+    for (i, &seed) in seeds.iter().enumerate() {
+        let (observation, trace) = run_seed(seed)?;
+        let report = analyze(&trace);
+        let replays = i == 0 && !observation.schedule_sensitive;
+        let flow = visit(observation, &report);
+        if i == 0 {
+            merged = report;
+        } else {
+            merged.merge(report);
+        }
+        if replays || flow.is_break() {
+            break;
+        }
+    }
+    Ok(merged)
+}
+
 /// Union reports across several seeds (adversarial schedule exploration)
 /// on the AST interpreter — the reference for
-/// [`check_adversarial_compiled`].
-///
-/// Equivalent to running [`check`] per seed and merging in seed order,
-/// except that if the first run never consulted the scheduler RNG, the
-/// kernel is seed-insensitive and the remaining seeds are skipped — each
-/// would replay the identical trace. Seeds run in order on the calling
-/// thread; the first error stops the sweep and is returned.
+/// [`check_adversarial_compiled`]: [`sweep`] on the interpreter, keeping
+/// only the merged report.
 pub fn check_adversarial(
     unit: &TranslationUnit,
     base: &Config,
     seeds: &[u64],
 ) -> Result<DynReport, RtError> {
-    sweep(seeds, |seed| run(unit, &Config { seed, ..base.clone() }))
+    let run_seed = |seed| obs::observe_traced(unit, &Config { seed, ..base.clone() });
+    sweep(seeds, run_seed, |_, _| ControlFlow::Continue(()))
 }
 
 /// Result of a compiled adversarial sweep.
@@ -124,28 +158,9 @@ pub fn check_adversarial_compiled(
             &lowered
         }
     };
-    let report = sweep(seeds, |seed| run_program(prog, &Config { seed, ..base.clone() }))?;
+    let run_seed = |seed| observe_oracle(unit, prog, &Config { seed, ..base.clone() });
+    let report = sweep(seeds, run_seed, |_, _| ControlFlow::Continue(()))?;
     Ok(CompiledSweep { report })
-}
-
-/// The seed loop both sweeps share: run the first seed, stop there when
-/// the run never consulted the scheduler RNG, else run the rest in seed
-/// order and merge (the first error stops the sweep).
-fn sweep(
-    seeds: &[u64],
-    mut run_seed: impl FnMut(u64) -> Result<RunOutput, RtError>,
-) -> Result<DynReport, RtError> {
-    let Some((&first, rest)) = seeds.split_first() else {
-        return Ok(DynReport::default());
-    };
-    let out = run_seed(first)?;
-    let mut merged = analyze(&out.trace);
-    if out.schedule_sensitive {
-        for &seed in rest {
-            merged.merge(analyze(&run_seed(seed)?.trace));
-        }
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -356,25 +371,59 @@ int main() {
     fn sweep_returns_the_first_error_in_seed_order() {
         let src = "int a[100]; int main() {\n#pragma omp parallel for schedule(dynamic)\nfor (int i=0;i<99;i++) a[i]=a[i+1];\n return 0; }";
         let unit = minic::parse(src).unwrap();
+        let go = |_, _: &DynReport| ControlFlow::Continue(());
         let mut ran = Vec::new();
-        let result = sweep(&[1, 7, 23, 42], |seed| {
-            ran.push(seed);
-            match seed {
-                23 => Err(RtError::DivByZero),
-                42 => Err(RtError::FuelExhausted),
-                _ => run(&unit, &Config { seed, ..Config::default() }),
-            }
-        });
+        let result = sweep(
+            &[1, 7, 23, 42],
+            |seed| {
+                ran.push(seed);
+                match seed {
+                    23 => Err(RtError::DivByZero),
+                    42 => Err(RtError::FuelExhausted),
+                    _ => obs::observe_traced(&unit, &Config { seed, ..Config::default() }),
+                }
+            },
+            go,
+        );
         assert_eq!(result, Err(RtError::DivByZero));
         assert_eq!(ran, [1, 7, 23], "no seed after the first error runs");
 
         let mut ran = Vec::new();
-        let result = sweep(&[5, 6], |seed| {
-            ran.push(seed);
-            Err(RtError::CallTooDeep)
-        });
+        let result = sweep(
+            &[5, 6],
+            |seed| {
+                ran.push(seed);
+                Err(RtError::CallTooDeep)
+            },
+            go,
+        );
         assert_eq!(result, Err(RtError::CallTooDeep));
         assert_eq!(ran, [5]);
+    }
+
+    #[test]
+    fn sweep_stops_after_the_run_visit_breaks_on() {
+        let src = "int a[100]; int main() {\n#pragma omp parallel for schedule(dynamic)\nfor (int i=0;i<99;i++) a[i]=a[i+1];\n return 0; }";
+        let unit = minic::parse(src).unwrap();
+        let prog = lower(&unit);
+        let mut ran = Vec::new();
+        let run_seed = |seed| {
+            ran.push(seed);
+            observe_oracle(&unit, &prog, &Config { seed, ..Config::default() })
+        };
+        let mut visited = Vec::new();
+        let report = sweep(&[1, 7, 23], run_seed, |o, r| {
+            visited.push(o);
+            if r.has_race() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap();
+        assert_eq!(ran, [1], "the racy first run ends the sweep");
+        assert_eq!(visited, [observe(&unit, &Config { seed: 1, ..Config::default() }).unwrap()]);
+        assert_eq!(report, check(&unit, &Config { seed: 1, ..Config::default() }).unwrap());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! [`observe_oracle`] is the oracle's observation: it runs the bytecode
 //! executor (like [`run_oracle`](crate::exec::run_oracle)) and hands
 //! back the run's trace beside the observation, so one execution can
-//! feed both the happens-before analysis and the output comparison.
+//! feed both the happens-before analysis and the output comparison —
+//! which is how [`sweep`](crate::sweep) runs every seed.
 //! [`observe`] is the interpreter's, the reference it is tested
 //! against.
 //!
@@ -86,8 +87,15 @@ fn pack(
 
 /// Observe one AST-interpreter run (the reference semantics).
 pub fn observe(unit: &TranslationUnit, cfg: &Config) -> RtResult<Observation> {
-    let (out, globals) = run_with_globals(unit, cfg)?;
-    Ok(pack(unit, out, globals).0)
+    observe_traced(unit, cfg).map(|(obs, _)| obs)
+}
+
+/// [`observe`], with the run's trace.
+pub(crate) fn observe_traced(
+    unit: &TranslationUnit,
+    cfg: &Config,
+) -> RtResult<(Observation, Trace)> {
+    run_with_globals(unit, cfg).map(|(out, globals)| pack(unit, out, globals))
 }
 
 /// Observe one bytecode-executor run of `unit`'s lowered program, with
@@ -157,6 +165,15 @@ pub fn first_difference(a: &Observation, b: &Observation, scratch: &[String]) ->
 /// Whether two observations are byte-identical modulo `scratch`.
 pub fn equivalent(a: &Observation, b: &Observation, scratch: &[String]) -> bool {
     first_difference(a, b, scratch).is_none()
+}
+
+/// A sweep's observation of its `i`-th seed, given the observations of
+/// the runs it made, in seed order: run `i`, or the first run when the
+/// sweep stopped after it because it ignored the seed (every seed
+/// replays it). `None` past the runs of a sweep that stopped early for
+/// another reason.
+pub fn seed_observation(runs: &[Observation], i: usize) -> Option<&Observation> {
+    runs.get(i).or_else(|| runs.first().filter(|o| !o.schedule_sensitive))
 }
 
 #[cfg(test)]

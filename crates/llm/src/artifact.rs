@@ -135,9 +135,9 @@ pub struct AnalyzedKernel {
     /// Memoized calibrated yes/no answers (filled lazily by
     /// [`Surrogate::predict_memo`](crate::Surrogate::predict_memo)).
     pub predict_memo: PredictMemo,
-    /// Lazily-lowered bytecode program for the dynamic oracle. Inner
-    /// `None` means lowering was attempted and rejected (or there is no
-    /// AST); callers fall back to the AST interpreter.
+    /// Lazily-lowered bytecode program for the dynamic oracle, read
+    /// through [`oracle_program`](Self::oracle_program). Empty until the
+    /// first read, and forever when there is no AST.
     oracle_program: OnceLock<hbsan::Program>,
 }
 

@@ -102,7 +102,6 @@ fn cmd_serve(args: &[String]) -> ! {
 }
 
 fn cmd_fix(args: &[String]) -> ! {
-    let cfg = repair::RepairConfig::default();
     match args.first().map(String::as_str) {
         Some("--smoke") => match repair::smoke() {
             Ok(summary) => {
@@ -115,7 +114,7 @@ fn cmd_fix(args: &[String]) -> ! {
             }
         },
         Some("--corpus") => {
-            let summary = repair::sweep_corpus(&cfg);
+            let summary = repair::sweep_corpus();
             print!("{}", repair::render_table(&summary));
             std::process::exit(0);
         }
@@ -125,7 +124,7 @@ fn cmd_fix(args: &[String]) -> ! {
                 std::process::exit(1);
             });
             let trimmed = racellm::minic::trim_comments(&src);
-            let r = repair::fix(&trimmed.code, &cfg);
+            let r = repair::fix(&trimmed.code);
             if let Some(v) = &r.verdicts {
                 println!("detect  : {}", v.summary());
             }

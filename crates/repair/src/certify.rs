@@ -3,68 +3,28 @@
 //! A candidate patch is *certified* when
 //! 1. `racecheck` reports zero races on the patched kernel,
 //! 2. the adversarial happens-before sweep is clean under every
-//!    certification seed, and
+//!    certification seed ([`xcheck::DEFAULT_SEEDS`]), and
 //! 3. the patched kernel's observable output ([`hbsan::obs`]) is
 //!    byte-identical to the original's under each seed — modulo the
 //!    globals the patch itself privatizes.
 //!
-//! Gates 2 and 3 share one pass ([`run_seeds`]): each seed runs the
+//! Gates 2 and 3 share one [`hbsan::sweep`]: each seed runs the
 //! candidate once on the oracle, and that run's trace is analyzed and
 //! its output observed, so every certificate comes from the runs it
-//! describes. The original's per-seed output is computed once per
-//! repair run ([`baseline`]) by the same pass and shared by every
-//! candidate. A schedule that never consults its RNG produces the same
-//! run under every seed, so one run serves all of them — the same
-//! short-circuit the sweep APIs use.
+//! describes. The sweep stops at the candidate's first racy run. The
+//! original's outputs are the observations [`xcheck::detect`] kept from
+//! its own sweep over the same seeds, so the original runs once per
+//! seed on the whole fix path. A schedule that never consults its RNG
+//! produces the same run under every seed, so one run serves all of
+//! them ([`hbsan::obs::seed_observation`]).
 
-use crate::{Certificate, RepairConfig};
+use crate::Certificate;
 use hbsan::obs::{self, Observation};
-use hbsan::{Config, Program, Trace};
+use hbsan::Config;
 use minic::printer::print_unit;
 use minic::TranslationUnit;
-use xcheck::{apply_repair, RepairEdit};
-
-/// Per-seed observations of the original kernel.
-pub(crate) struct Baseline {
-    /// One observation per certification seed, in seed order.
-    obs: Vec<Observation>,
-}
-
-/// Run a kernel's program once per seed on the oracle and keep each
-/// run's observation, stopping
-/// after the first run when the schedule ignores the seed. `None` when
-/// there are no seeds, a run fails, or `trace_ok` rejects a run's
-/// trace.
-fn run_seeds(
-    unit: &TranslationUnit,
-    prog: &Program,
-    seeds: &[u64],
-    trace_ok: impl Fn(&Trace) -> bool,
-) -> Option<Vec<Observation>> {
-    let mut out: Vec<Observation> = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        if out.first().is_some_and(|o| !o.schedule_sensitive) {
-            out.push(out[0].clone());
-            continue;
-        }
-        let (observation, trace) =
-            obs::observe_oracle(unit, prog, &Config { seed, ..Config::default() }).ok()?;
-        if !trace_ok(&trace) {
-            return None;
-        }
-        out.push(observation);
-    }
-    (!out.is_empty()).then_some(out)
-}
-
-/// Build the original kernel's output baseline.
-pub(crate) fn baseline(
-    unit: &TranslationUnit,
-    prog: &Program,
-    cfg: &RepairConfig,
-) -> Option<Baseline> {
-    Some(Baseline { obs: run_seeds(unit, prog, &cfg.seeds, |_| true)? })
-}
+use std::ops::ControlFlow;
+use xcheck::{apply_repair, RepairEdit, DEFAULT_SEEDS};
 
 /// Apply an edit list in order; `None` when any edit does not apply
 /// (e.g. an earlier edit removed its target).
@@ -84,13 +44,13 @@ pub(crate) struct Certified {
     pub certificate: Certificate,
 }
 
-/// Run the full certification on one applied candidate. `None` when
-/// any gate fails.
+/// Run the full certification on one applied candidate against the
+/// original's per-seed observations (`Evidence::observations`). `None`
+/// when any gate fails.
 pub(crate) fn certify(
-    base: &Baseline,
+    original: &[Observation],
     edits: &[RepairEdit],
     patched: TranslationUnit,
-    cfg: &RepairConfig,
 ) -> Option<Certified> {
     // Gate 1 — static: cheapest, so first.
     if !racecheck::check(&patched).races.is_empty() {
@@ -102,14 +62,27 @@ pub(crate) fn certify(
     // its trace must be race-free, and its output must match the
     // original's, excluding globals the patch declares scratch.
     let prog = hbsan::lower(&patched);
-    let patched_obs = run_seeds(&patched, &prog, &cfg.seeds, |trace| {
-        !hbsan::analyze(trace).has_race()
-    })?;
+    let run_seed =
+        |seed| obs::observe_oracle(&patched, &prog, &Config { seed, ..Config::default() });
+    let mut runs = Vec::with_capacity(DEFAULT_SEEDS.len());
+    let report = hbsan::sweep(&DEFAULT_SEEDS, run_seed, |observation, report| {
+        runs.push(observation);
+        if report.has_race() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .ok()?;
+    if report.has_race() {
+        return None;
+    }
     let scratch: Vec<String> =
         edits.iter().filter_map(|e| e.scratch_var().map(str::to_string)).collect();
-    for (a, b) in base.obs.iter().zip(&patched_obs) {
-        if !obs::equivalent(a, b, &scratch) {
-            return None;
+    for i in 0..DEFAULT_SEEDS.len() {
+        match (obs::seed_observation(original, i), obs::seed_observation(&runs, i)) {
+            (Some(a), Some(b)) if obs::equivalent(a, b, &scratch) => {}
+            _ => return None,
         }
     }
 
@@ -123,8 +96,8 @@ pub(crate) fn certify(
         code,
         certificate: Certificate {
             racecheck_clean: true,
-            hbsan_seeds: cfg.seeds.clone(),
-            equivalent_seeds: cfg.seeds.clone(),
+            hbsan_seeds: DEFAULT_SEEDS.to_vec(),
+            equivalent_seeds: DEFAULT_SEEDS.to_vec(),
             scratch,
             surrogate_clean,
         },
@@ -132,27 +105,26 @@ pub(crate) fn certify(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // `sum` ends nonzero, so a patch that corrupts the value (e.g.
     // privatization zeroing it) cannot sneak past the equivalence gate.
     const RACY_SUM: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
 
-    fn setup(code: &str) -> (TranslationUnit, Baseline, RepairConfig) {
-        let unit = minic::parse(code).unwrap();
-        let cfg = RepairConfig::default();
-        let base = baseline(&unit, &hbsan::lower(&unit), &cfg).unwrap();
-        (unit, base, cfg)
+    /// A kernel and the per-seed observations detection kept of it.
+    pub(crate) fn setup(code: &str) -> (TranslationUnit, Vec<Observation>) {
+        let ev = xcheck::detect(&llm::AnalyzedKernel::analyze(code)).unwrap();
+        (minic::parse(code).unwrap(), ev.observations)
     }
 
     #[test]
     fn reduction_candidate_certifies() {
-        let (unit, base, cfg) = setup(RACY_SUM);
+        let (unit, base) = setup(RACY_SUM);
         let edits = [RepairEdit::AddReduction { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let cert = certify(&base, &edits, patched, &cfg).expect("certifies");
-        assert!(cert.certificate.certified(&cfg.seeds));
+        let cert = certify(&base, &edits, patched).expect("certifies");
+        assert!(cert.certificate.certified());
         assert!(cert.certificate.scratch.is_empty());
     }
 
@@ -161,11 +133,11 @@ mod tests {
         // Privatizing `sum` zeroes it: race-free, but *not* the same
         // program — AddPrivate marks it scratch, yet the exit value
         // still differs, so equivalence must reject it.
-        let (unit, base, cfg) = setup(RACY_SUM);
+        let (unit, base) = setup(RACY_SUM);
         let edits = [RepairEdit::AddPrivate { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
         assert!(
-            certify(&base, &edits, patched, &cfg).is_none(),
+            certify(&base, &edits, patched).is_none(),
             "exit value depends on sum; privatization must fail equivalence"
         );
     }
@@ -174,12 +146,12 @@ mod tests {
     fn racy_candidate_is_rejected_at_the_static_gate() {
         // Two racy scalars; protecting only one leaves the other race
         // in place, so the static gate must reject the half-patch.
-        let (unit, base, cfg) = setup(
+        let (unit, base) = setup(
             "int sum; int count;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) {\n    sum += i;\n    count += 1;\n  }\n  return sum + count;\n}\n",
         );
         let edits = [RepairEdit::WrapCritical { var: "count".into() }];
         let patched = apply_edits(&unit, &edits).expect("applies");
-        assert!(certify(&base, &edits, patched, &cfg).is_none());
+        assert!(certify(&base, &edits, patched).is_none());
     }
 
     #[test]

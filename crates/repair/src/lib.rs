@@ -13,13 +13,14 @@
 //!    serialize-the-body fallback for dependences no clause can fix.
 //! 2. **Certification** ([`certify`]) — a candidate only survives if it
 //!    is provably better: `racecheck` clean, the adversarial `hbsan`
-//!    schedule sweep clean across every certification seed (bytecode
-//!    executor with interpreter fallback, like every other sweep in the
-//!    workspace), *and* byte-identical observable output
+//!    schedule sweep clean across every certification seed (the
+//!    detector stack's own [`xcheck::DEFAULT_SEEDS`], run on the
+//!    bytecode oracle), *and* byte-identical observable output
 //!    ([`hbsan::obs`]) versus the original under each seed's race-free
-//!    schedule. The surrogate-LLM verdict is recorded in the
-//!    certificate but does not gate it — the certificate's claims are
-//!    exactly the machine-checkable ones.
+//!    schedule. The original's outputs come from the runs detection
+//!    already made, so it executes once per seed. The surrogate-LLM
+//!    verdict is recorded in the certificate but does not gate it — the
+//!    certificate's claims are exactly the machine-checkable ones.
 //! 3. **Minimization** ([`minimize`]) — the winning edit list is
 //!    delta-debugged: drop any edit whose removal still certifies.
 //!
@@ -42,21 +43,15 @@ use llm::AnalyzedKernel;
 use minic::printer::print_unit;
 use xcheck::{RepairEdit, Verdicts};
 
-/// Tuning knobs for one repair run.
-#[derive(Debug, Clone)]
-pub struct RepairConfig {
-    /// Schedule seeds every certification sweep and equivalence check
-    /// runs under (the pipeline's standard adversarial seed set).
-    pub seeds: Vec<u64>,
-    /// Cap on candidate patches certified per kernel.
-    pub max_candidates: usize,
-}
+/// Cap on candidate patches certified per kernel.
+const MAX_CANDIDATES: usize = 16;
 
-impl Default for RepairConfig {
-    fn default() -> Self {
-        RepairConfig { seeds: xcheck::DEFAULT_SEEDS.to_vec(), max_candidates: 16 }
-    }
-}
+/// Settings of one repair run: none remain. Certification runs under
+/// the detector stack's seeds, [`xcheck::DEFAULT_SEEDS`], because
+/// detection's runs of the original are what it compares candidates
+/// against, and the candidate cap is a constant.
+#[derive(Debug, Clone, Default)]
+pub struct RepairConfig;
 
 /// The machine-checkable evidence attached to every emitted patch.
 /// Every field is reproducible from `patched_code` + the original
@@ -82,9 +77,12 @@ pub struct Certificate {
 
 impl Certificate {
     /// Whether the certificate's gating claims all hold: static clean,
-    /// dynamic clean on every seed, output-equivalent on every seed.
-    pub fn certified(&self, seeds: &[u64]) -> bool {
-        self.racecheck_clean && self.hbsan_seeds == seeds && self.equivalent_seeds == seeds
+    /// dynamic clean and output-equivalent on every
+    /// [`xcheck::DEFAULT_SEEDS`] seed.
+    pub fn certified(&self) -> bool {
+        self.racecheck_clean
+            && self.hbsan_seeds == xcheck::DEFAULT_SEEDS
+            && self.equivalent_seeds == xcheck::DEFAULT_SEEDS
     }
 }
 
@@ -114,8 +112,8 @@ pub enum Outcome {
     /// A certified patch was found (and minimized).
     Fixed(Fix),
     /// Every applicable candidate failed certification — or the
-    /// original kernel cannot be executed for an output baseline, so no
-    /// equivalence evidence is obtainable.
+    /// original kernel cannot be executed, so there is no output to
+    /// hold a candidate equivalent to.
     Unfixed,
 }
 
@@ -167,15 +165,16 @@ pub fn edit_label(e: &RepairEdit) -> String {
 /// Repair one kernel from source. Parses, runs the detector stack,
 /// and — when any detector flags a race — enumerates, certifies, and
 /// minimizes candidate patches.
-pub fn fix(code: &str, cfg: &RepairConfig) -> FixReport {
-    fix_artifact(&AnalyzedKernel::analyze(code), cfg)
+pub fn fix(code: &str) -> FixReport {
+    fix_artifact(&AnalyzedKernel::analyze(code), &RepairConfig)
 }
 
 /// [`fix`] over an existing analysis artifact (reuses the cached parse
 /// and lowered bytecode program; builds nothing twice). Detection is
-/// [`xcheck::detect`] over its standard seeds; `cfg.seeds` drives
-/// certification.
-pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport {
+/// [`xcheck::detect`], and certification compares every candidate
+/// against the original runs it kept. `RepairConfig` carries no
+/// settings.
+pub fn fix_artifact(artifact: &AnalyzedKernel, _cfg: &RepairConfig) -> FixReport {
     let (Some(unit), Some(ev)) = (artifact.ast.as_ref(), xcheck::detect(artifact)) else {
         return FixReport {
             verdicts: None,
@@ -190,21 +189,20 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
     if !flagged {
         return report(Outcome::CleanAlready, 0);
     }
-
-    // Baseline: the original's observable output per seed. Without it
-    // there is no equivalence evidence, hence no certificate.
-    let prog = artifact.oracle_program().expect("a parsed kernel has a program");
-    let Some(base) = certify::baseline(unit, prog, cfg) else {
+    // An original that fails at run time has no output to hold a
+    // candidate equivalent to, hence no certificate.
+    if ev.dynamic.is_none() {
         return report(Outcome::Unfixed, 0);
-    };
+    }
 
     let canon = print_unit(unit);
     let mut tried = 0usize;
-    for cand in candidates::enumerate(unit, &ev.stat, ev.dynamic.as_ref(), cfg.max_candidates) {
+    for cand in candidates::enumerate(unit, &ev.stat, ev.dynamic.as_ref(), MAX_CANDIDATES) {
         let Some(patched) = certify::apply_edits(unit, &cand) else { continue };
         tried += 1;
-        if let Some(cert) = certify::certify(&base, &cand, patched, cfg) {
-            let (edits, cert) = minimize::minimize(unit, cand, cert, &base, cfg, &mut tried);
+        if let Some(cert) = certify::certify(&ev.observations, &cand, patched) {
+            let (edits, cert) =
+                minimize::minimize(unit, cand, cert, &ev.observations, &mut tried);
             let patch = minic::unified_diff(&canon, &cert.code, 2);
             let patch_lines = minic::diff_size(&patch);
             let fix = Fix {
@@ -230,12 +228,11 @@ mod tests {
 
     #[test]
     fn racy_sum_gets_a_reduction_patch() {
-        let cfg = RepairConfig::default();
-        let r = fix(RACY_SUM, &cfg);
+        let r = fix(RACY_SUM);
         let f = r.fix().expect("racy sum is fixable");
         assert_eq!(f.edits, vec![RepairEdit::AddReduction { var: "sum".into() }]);
         assert!(f.patch.contains("+") && f.patch.contains("reduction(+: sum)"), "{}", f.patch);
-        assert!(f.certificate.certified(&cfg.seeds));
+        assert!(f.certificate.certified());
         assert!(f.certificate.surrogate_clean, "reduction clause satisfies the surrogate too");
         assert_eq!(f.patch_lines, 2, "one pragma line replaced: {}", f.patch);
         assert!(r.candidates_tried >= 1);
@@ -243,7 +240,7 @@ mod tests {
 
     #[test]
     fn clean_kernel_is_left_alone() {
-        let r = fix(CLEAN, &RepairConfig::default());
+        let r = fix(CLEAN);
         assert_eq!(r.outcome, Outcome::CleanAlready);
         assert_eq!(r.candidates_tried, 0);
         assert!(r.verdicts.unwrap().consensus() == Some(false));
@@ -251,10 +248,9 @@ mod tests {
 
     #[test]
     fn stencil_race_serializes() {
-        let cfg = RepairConfig::default();
-        let r = fix(RACY_STENCIL, &cfg);
+        let r = fix(RACY_STENCIL);
         let f = r.fix().expect("stencil is fixable by serialization");
-        assert!(f.certificate.certified(&cfg.seeds));
+        assert!(f.certificate.certified());
         assert!(
             f.edits.iter().any(|e| matches!(
                 e,
@@ -269,16 +265,28 @@ mod tests {
     }
 
     #[test]
+    fn original_failing_at_run_time_is_unfixed_untried() {
+        // racecheck flags the shifted copy, but the loop writes past the
+        // end of `a`: the original has no output to hold a candidate
+        // equivalent to, so no candidate is tried.
+        let r = fix("int a[16];\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 16; i++) a[i + 1] = a[i];\n  return 0;\n}\n");
+        let v = r.verdicts.expect("parses");
+        assert!(v.stat);
+        assert_eq!(v.dynv, None, "the out-of-bounds write fails every run");
+        assert_eq!(r.outcome, Outcome::Unfixed);
+        assert_eq!(r.candidates_tried, 0);
+    }
+
+    #[test]
     fn unparseable_input_reports_unparseable() {
-        let r = fix("int main() {", &RepairConfig::default());
+        let r = fix("int main() {");
         assert_eq!(r.outcome, Outcome::Unparseable);
         assert!(r.verdicts.is_none());
     }
 
     #[test]
     fn certificate_replays_green() {
-        let cfg = RepairConfig::default();
-        let r = fix(RACY_SUM, &cfg);
+        let r = fix(RACY_SUM);
         let f = r.fix().unwrap();
         // Replay every certificate claim from scratch on the emitted
         // patch text — the whole point of a machine-checkable cert.
@@ -286,9 +294,10 @@ mod tests {
         let patched = minic::parse(&f.patched_code).unwrap();
         assert!(racecheck::check(&patched).races.is_empty());
         let sweep =
-            hbsan::check_adversarial(&patched, &hbsan::Config::default(), &cfg.seeds).unwrap();
+            hbsan::check_adversarial(&patched, &hbsan::Config::default(), &xcheck::DEFAULT_SEEDS)
+                .unwrap();
         assert!(!sweep.has_race());
-        for &seed in &cfg.seeds {
+        for seed in xcheck::DEFAULT_SEEDS {
             let c = hbsan::Config { seed, ..hbsan::Config::default() };
             let a = hbsan::observe(&orig, &c).unwrap();
             let b = hbsan::observe(&patched, &c).unwrap();
@@ -298,9 +307,8 @@ mod tests {
 
     #[test]
     fn fix_is_deterministic() {
-        let cfg = RepairConfig::default();
-        assert_eq!(fix(RACY_SUM, &cfg), fix(RACY_SUM, &cfg));
-        assert_eq!(fix(RACY_STENCIL, &cfg), fix(RACY_STENCIL, &cfg));
+        assert_eq!(fix(RACY_SUM), fix(RACY_SUM));
+        assert_eq!(fix(RACY_STENCIL), fix(RACY_STENCIL));
     }
 
     #[test]

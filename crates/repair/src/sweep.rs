@@ -8,7 +8,7 @@
 //! fixture repairs, determinism, a from-scratch certificate replay, and
 //! a strided corpus sample.
 
-use crate::{edit_label, fix, RepairConfig};
+use crate::{edit_label, fix};
 use par::{default_workers, par_map};
 use std::fmt::Write as _;
 
@@ -62,16 +62,16 @@ impl SweepSummary {
 }
 
 /// Run the repair loop over the whole generated corpus.
-pub fn sweep_corpus(cfg: &RepairConfig) -> SweepSummary {
-    sweep_corpus_with_workers(cfg, default_workers())
+pub fn sweep_corpus() -> SweepSummary {
+    sweep_corpus_with_workers(default_workers())
 }
 
 /// [`sweep_corpus`] with an explicit worker count — the bench harness
 /// times serial vs parallel sweeps and asserts row-identical results.
-pub fn sweep_corpus_with_workers(cfg: &RepairConfig, workers: usize) -> SweepSummary {
+pub fn sweep_corpus_with_workers(workers: usize) -> SweepSummary {
     let kernels = drb_gen::corpus();
     let rows = par_map(kernels, workers, |k| {
-        let r = fix(&k.trimmed_code, cfg);
+        let r = fix(&k.trimmed_code);
         let (edits, patch_lines) = match r.fix() {
             Some(f) => (
                 f.edits.iter().map(edit_label).collect::<Vec<_>>().join("+"),
@@ -153,22 +153,20 @@ const SMOKE_FIXTURE: &str = "int sum;\nint main() {\n  #pragma omp parallel for\
 /// a from-scratch certificate replay, and a strided corpus sample.
 /// Fast (a dozen kernels), deterministic, `Err` on any violated claim.
 pub fn smoke() -> Result<String, String> {
-    let cfg = RepairConfig::default();
-
     // 1. The fixture racy reduction must fix with a reduction clause.
-    let report = fix(SMOKE_FIXTURE, &cfg);
+    let report = fix(SMOKE_FIXTURE);
     let f = report.fix().ok_or_else(|| {
         format!("fixture kernel not fixed: outcome {}", report.outcome.tag())
     })?;
     if !f.patched_code.contains("reduction") {
         return Err(format!("fixture patch is not a reduction:\n{}", f.patch));
     }
-    if !f.certificate.certified(&cfg.seeds) {
+    if !f.certificate.certified() {
         return Err("fixture certificate does not cover all seeds".into());
     }
 
     // 2. Determinism: the loop must reproduce itself byte-for-byte.
-    if fix(SMOKE_FIXTURE, &cfg) != report {
+    if fix(SMOKE_FIXTURE) != report {
         return Err("repair is not deterministic on the fixture".into());
     }
 
@@ -178,12 +176,13 @@ pub fn smoke() -> Result<String, String> {
     if !racecheck::check(&patched).races.is_empty() {
         return Err("certificate replay: racecheck found races in the patch".into());
     }
-    let sweep = hbsan::check_adversarial(&patched, &hbsan::Config::default(), &cfg.seeds)
+    let seeds = xcheck::DEFAULT_SEEDS;
+    let sweep = hbsan::check_adversarial(&patched, &hbsan::Config::default(), &seeds)
         .map_err(|e| format!("certificate replay: sweep failed: {e}"))?;
     if sweep.has_race() {
         return Err("certificate replay: hbsan found races in the patch".into());
     }
-    for &seed in &cfg.seeds {
+    for seed in seeds {
         let c = hbsan::Config { seed, ..hbsan::Config::default() };
         let a = hbsan::observe(&orig, &c).map_err(|e| e.to_string())?;
         let b = hbsan::observe(&patched, &c).map_err(|e| e.to_string())?;
@@ -195,12 +194,12 @@ pub fn smoke() -> Result<String, String> {
     // 4. Strided corpus sample: every certified patch's certificate
     //    must cover every seed, and the sample must contain fixes.
     let kernels: Vec<_> = drb_gen::corpus().iter().step_by(16).collect();
-    let sample = par_map(&kernels, default_workers(), |k| (k.name.clone(), fix(&k.trimmed_code, &cfg)));
+    let sample = par_map(&kernels, default_workers(), |k| (k.name.clone(), fix(&k.trimmed_code)));
     let mut fixed = 0usize;
     for (name, r) in &sample {
         if let Some(f) = r.fix() {
             fixed += 1;
-            if !f.certificate.certified(&cfg.seeds) {
+            if !f.certificate.certified() {
                 return Err(format!("{name}: emitted a fix with an incomplete certificate"));
             }
         }

@@ -6,7 +6,7 @@
 //! declares scratch.
 
 use proptest::prelude::*;
-use repair::{fix, RepairConfig};
+use repair::fix;
 use std::sync::OnceLock;
 
 struct FixedCase {
@@ -21,13 +21,12 @@ struct FixedCase {
 fn pool() -> &'static [FixedCase] {
     static POOL: OnceLock<Vec<FixedCase>> = OnceLock::new();
     POOL.get_or_init(|| {
-        let cfg = RepairConfig::default();
         drb_gen::corpus()
             .iter()
             .filter(|k| k.race)
             .step_by(11)
             .filter_map(|k| {
-                let r = fix(&k.trimmed_code, &cfg);
+                let r = fix(&k.trimmed_code);
                 let f = r.fix()?;
                 Some(FixedCase {
                     name: k.name.clone(),

@@ -79,7 +79,7 @@ pub fn fix_code(source: &str) -> FixResponse {
 /// without re-certifying, so they do not move that counter).
 pub fn fix_code_traced(source: &str) -> (FixResponse, bool) {
     let trimmed = minic::trim_comments(source);
-    let report = repair::fix(&trimmed.code, &repair::RepairConfig::default());
+    let report = repair::fix(&trimmed.code);
 
     let verdicts = report.verdicts.map(WireVerdicts::from);
     let fix = report.fix().map(|f| WireFix {

@@ -7,11 +7,14 @@
 //! uncalibrated path — calibration tables are keyed by corpus kernel id
 //! and say nothing about generated code). Every surface — the umbrella
 //! pipeline, the differential sweep, the HTTP service, and the repair
-//! loop — renders the [`Evidence`] it returns.
+//! loop — renders the [`Evidence`] it returns. The evidence keeps what
+//! each seed's run computed, so the repair loop certifies patches
+//! against the original's outputs without running it again.
 
-use hbsan::DynReport;
+use hbsan::{Config, DynReport, Observation};
 use llm::{AnalyzedKernel, ModelKind};
 use racecheck::RaceReport;
+use std::ops::ControlFlow;
 
 /// The schedule seeds every sweep uses.
 pub const DEFAULT_SEEDS: [u64; 3] = [1, 7, 23];
@@ -58,6 +61,11 @@ pub struct Evidence {
     /// The dynamic sweep merged across [`DEFAULT_SEEDS`]; `None` when
     /// the kernel could not be executed (fuel, bad address, …).
     pub dynamic: Option<DynReport>,
+    /// What the sweep's run of each seed computed, in seed order: one
+    /// entry per run, so a single one when the kernel ignores the seed
+    /// (read seed `i` through [`hbsan::obs::seed_observation`]). Empty
+    /// when `dynamic` is `None`.
+    pub observations: Vec<Observation>,
     /// One verdict per detector.
     pub verdicts: Verdicts,
 }
@@ -67,19 +75,23 @@ pub struct Evidence {
 pub fn detect(artifact: &AnalyzedKernel) -> Option<Evidence> {
     let unit = artifact.ast.as_ref()?;
     let stat = racecheck::check(unit);
-    let sweep = hbsan::check_adversarial_compiled(
-        unit,
-        artifact.oracle_program(),
-        &hbsan::Config::default(),
-        &DEFAULT_SEEDS,
-    );
-    let dynamic = sweep.ok().map(|s| s.report);
+    let prog = artifact.oracle_program()?;
+    let run_seed = |seed| hbsan::observe_oracle(unit, prog, &Config { seed, ..Config::default() });
+    let mut observations = Vec::new();
+    let dynamic = hbsan::sweep(&DEFAULT_SEEDS, run_seed, |observation, _| {
+        observations.push(observation);
+        ControlFlow::Continue(())
+    })
+    .ok();
+    if dynamic.is_none() {
+        observations.clear();
+    }
     let verdicts = Verdicts {
         stat: stat.has_race(),
         dynv: dynamic.as_ref().map(DynReport::has_race),
         llm: llm::feature_verdict(&artifact.features, ModelKind::Gpt4),
     };
-    Some(Evidence { stat, dynamic, verdicts })
+    Some(Evidence { stat, dynamic, observations, verdicts })
 }
 
 /// Parse and run all three detectors; `None` when the code no longer

@@ -10,10 +10,18 @@
 //!   exit code, schedule-sensitivity flag), and must fail with the
 //!   interpreter's error exactly when the interpreter fails;
 //! * **verdicts** — the compiled sweep must reach the interpreter
-//!   sweep's verdict.
+//!   sweep's verdict;
+//! * **detection's runs** — `xcheck::detect` keeps one observation per
+//!   run of its oracle sweep, and the repair loop certifies against
+//!   them, so each must be what the interpreter observes on that
+//!   [`DEFAULT_SEEDS`] seed, and the merged report must be the
+//!   interpreter sweep's. Checked on every generated kernel and mutant
+//!   and on every corpus kernel.
 
+use hbsan::obs::{first_difference, seed_observation};
 use hbsan::Config;
 use proptest::prelude::*;
+use xcheck::DEFAULT_SEEDS;
 
 /// Raw-run and verdict agreement for one parsed unit under one seed.
 fn assert_equiv(unit: &minic::TranslationUnit, sched_seed: u64) -> Result<(), TestCaseError> {
@@ -45,7 +53,43 @@ fn assert_equiv(unit: &minic::TranslationUnit, sched_seed: u64) -> Result<(), Te
         .map(|s| s.report.has_race());
     let reference = hbsan::check_adversarial(unit, &cfg, &seeds).ok().map(|r| r.has_race());
     prop_assert_eq!(compiled, reference, "sweep verdict diverges");
+    assert_detect_matches_reference(unit)
+}
+
+/// `detect`'s kept runs and merged report against the interpreter.
+fn assert_detect_matches_reference(unit: &minic::TranslationUnit) -> Result<(), TestCaseError> {
+    let artifact = llm::AnalyzedKernel::from_parsed(&minic::print_unit(unit), Some(unit.clone()));
+    let ev = xcheck::detect(&artifact).expect("a parsed kernel is detected");
+    let cfg = Config::default();
+    let reference = hbsan::check_adversarial(unit, &cfg, &DEFAULT_SEEDS).ok();
+    prop_assert_eq!(&ev.dynamic, &reference, "detect's merged report diverges");
+    if ev.dynamic.is_none() {
+        prop_assert!(ev.observations.is_empty(), "a failed sweep keeps no runs");
+        return Ok(());
+    }
+    for (i, seed) in DEFAULT_SEEDS.into_iter().enumerate() {
+        let expected = hbsan::observe(unit, &Config { seed, ..cfg.clone() })
+            .map_err(|e| TestCaseError::Fail(format!("seed {seed}: interpreter fails: {e}")))?;
+        let Some(kept) = seed_observation(&ev.observations, i) else {
+            return Err(TestCaseError::Fail(format!("seed {seed}: detect kept no run")));
+        };
+        prop_assert_eq!(first_difference(kept, &expected, &[]), None, "seed {} diverges", seed);
+        prop_assert_eq!(kept.schedule_sensitive, expected.schedule_sensitive);
+    }
     Ok(())
+}
+
+#[test]
+fn corpus_kernels_detect_like_the_reference() {
+    let corpus = drb_gen::corpus();
+    let failures: Vec<String> = par::par_map(corpus, par::default_workers(), |k| {
+        let unit = minic::parse(&k.trimmed_code).expect("corpus kernels parse");
+        assert_detect_matches_reference(&unit).err().map(|e| format!("{}: {e:?}", k.name))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 proptest! {
