@@ -71,8 +71,18 @@ impl Adam {
     /// `lr·m̂/(√v̂+ε)` exactly when ε is rescaled), numerically within
     /// rounding — the update differs only in float evaluation order.
     pub fn step_fast(&mut self, params: &mut [f64], grads: &[f64]) {
+        self.step_fast_outer(params, &[], &[], grads);
+    }
+
+    /// [`Adam::step_fast`] with the gradient in factored form: the
+    /// leading `rows.len() × cols.len()` parameters (row-major) take
+    /// `g = rows[r]·cols[j]`, formed inline, and the remaining ones take
+    /// `tail`. A plain gradient slice is the case with no rows, so both
+    /// run the one update expression and agree bit for bit with
+    /// `step_fast` over the materialized gradient.
+    pub fn step_fast_outer(&mut self, params: &mut [f64], rows: &[f64], cols: &[f64], tail: &[f64]) {
         assert_eq!(params.len(), self.m.len(), "parameter count fixed at construction");
-        assert_eq!(params.len(), grads.len());
+        assert_eq!(params.len(), rows.len() * cols.len() + tail.len());
         self.t += 1;
         let b1 = self.cfg.beta1;
         let b2 = self.cfg.beta2;
@@ -80,13 +90,26 @@ impl Adam {
         let b2t_sqrt = (1.0 - b2.powi(self.t as i32)).sqrt();
         let step_size = self.cfg.lr * b2t_sqrt / b1t;
         let eps_hat = self.cfg.eps * b2t_sqrt;
-        for i in 0..params.len() {
-            let g = grads[i];
-            let m = b1 * self.m[i] + (1.0 - b1) * g;
-            let v = b2 * self.v[i] + (1.0 - b2) * g * g;
-            self.m[i] = m;
-            self.v[i] = v;
-            params[i] -= step_size * m / (v.sqrt() + eps_hat);
+        // The one copy of the update expression.
+        let update = |p: &mut f64, m: &mut f64, v: &mut f64, g: f64| {
+            let mi = b1 * *m + (1.0 - b1) * g;
+            let vi = b2 * *v + (1.0 - b2) * g * g;
+            *m = mi;
+            *v = vi;
+            *p -= step_size * mi / (vi.sqrt() + eps_hat);
+        };
+        let split = rows.len() * cols.len();
+        let (p, p_tail) = params.split_at_mut(split);
+        let (m, m_tail) = self.m.split_at_mut(split);
+        let (v, v_tail) = self.v.split_at_mut(split);
+        let n = cols.len().max(1);
+        for (((p, m), v), &c) in p.chunks_mut(n).zip(m.chunks_mut(n)).zip(v.chunks_mut(n)).zip(rows) {
+            for (((p, m), v), &x) in p.iter_mut().zip(m).zip(v).zip(cols) {
+                update(p, m, v, c * x);
+            }
+        }
+        for (((p, m), v), &g) in p_tail.iter_mut().zip(m_tail).zip(v_tail).zip(tail) {
+            update(p, m, v, g);
         }
     }
 }

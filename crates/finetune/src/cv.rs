@@ -30,12 +30,16 @@ pub fn stratified_folds(labels: &[bool], k: usize, seed: u64) -> Vec<Fold> {
 /// kernel difficulty): items are sorted by score within each class and
 /// dealt round-robin, so every fold sees a representative spread — the
 /// variance-reduction that keeps the paper's per-fold SDs small.
+/// `k = 0` asks for no folds and gets none.
 pub fn stratified_folds_by(
     labels: &[bool],
     score: Option<&[f64]>,
     k: usize,
     seed: u64,
 ) -> Vec<Fold> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut pos: Vec<usize> = (0..labels.len()).filter(|&i| labels[i]).collect();
     let mut neg: Vec<usize> = (0..labels.len()).filter(|&i| !labels[i]).collect();
     let mut rng = Rng::new(seed);
@@ -174,6 +178,17 @@ mod tests {
             assert_eq!(f.train.len() + f.test.len(), labels.len());
         }
         assert!(seen.iter().all(|&s| s), "NaN-scored items still partitioned");
+    }
+
+    #[test]
+    fn zero_folds_is_empty_not_a_panic() {
+        // Regression: `k = 0` divided by zero in the seeded rotation and
+        // in the round-robin deal.
+        let labels = paper_labels();
+        let scores: Vec<f64> = (0..labels.len()).map(|i| i as f64).collect();
+        assert!(stratified_folds(&labels, 0, 1).is_empty());
+        assert!(stratified_folds_by(&labels, Some(&scores), 0, 1).is_empty());
+        assert!(stratified_folds_by(&[], Some(&[]), 0, 1).is_empty());
     }
 
     #[test]

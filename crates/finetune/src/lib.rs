@@ -20,7 +20,7 @@ pub mod train;
 pub use adam::{Adam, AdamConfig};
 pub use cv::{folds_for, mean, std_dev, stratified_folds, Fold};
 pub use cv::stratified_folds_by;
-pub use model::{fit_base_head, quantize_4bit, sigmoid, LoraHead, TrainScratch};
+pub use model::{fit_base_head, nonzero_indices, quantize_4bit, sigmoid, LoraHead, TrainScratch};
 pub use ngram::{feature_vector, feature_vector_of, ngram_vector, FEATURE_DIM, NGRAM_DIM};
 pub use train::{FineTuned, Rng, TrainConfig};
 

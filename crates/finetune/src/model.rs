@@ -29,54 +29,70 @@ pub fn quantize_4bit(w: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// The ascending indices of `x`'s nonzero entries (`-0.0` counts as
+/// zero), the only features a training step has to touch.
+pub fn nonzero_indices(x: &[f64]) -> Vec<u32> {
+    (0..x.len() as u32).filter(|&j| x[j as usize] != 0.0).collect()
+}
+
 /// Reusable flat scratch for the allocation-free training loop.
 ///
 /// One instance lives for a whole [`FineTuned::train`](crate::FineTuned)
-/// call; every buffer the per-example step needs — dropout mask, dropped
-/// input, `A·x` activations, and the fused adapter gradient — is sized
-/// once here and overwritten in place each step, so the inner loop
+/// call; every buffer the per-example step needs — the kept inputs, the
+/// dropped input, `A·x` activations, and the `grad_A` row factors — is
+/// sized once here and overwritten in place each step, so the inner loop
 /// touches the allocator zero times after warmup (proved by the
 /// `count-train-allocs` gated test).
 #[derive(Debug, Clone)]
 pub struct TrainScratch {
-    /// Per-input dropout keep mask.
-    pub mask: Vec<bool>,
-    /// Input with dropout applied (`x` where kept, `0` where dropped).
+    /// Indices of the loaded example's nonzero inputs that dropout
+    /// kept, ascending.
+    pub kept: Vec<u32>,
+    /// Input with dropout applied: `x` at `kept`, `0` everywhere else.
     pub xd: Vec<f64>,
-    /// Adapter activations `(A·xd)`, one per rank.
+    /// Adapter activations `(A·xd)`, one per rank; the step overwrites
+    /// them with `grad_B`.
     pub ax: Vec<f64>,
-    /// Fused gradient buffer: `grad_A` (`rank × dim`) then `grad_B`
-    /// (`rank`) — same layout as [`LoraHead`]'s parameter buffer.
-    pub grads: Vec<f64>,
+    /// Row factors `c[r] = err·scale·B_r`, so `grad_A[r][j] = c[r]·xd[j]`.
+    pub c: Vec<f64>,
 }
 
 impl TrainScratch {
     /// Scratch sized for a rank-`rank`, `dim`-wide adapter.
     pub fn new(rank: usize, dim: usize) -> TrainScratch {
         TrainScratch {
-            mask: vec![true; dim],
+            kept: Vec::with_capacity(dim),
             xd: vec![0.0; dim],
             ax: vec![0.0; rank],
-            grads: vec![0.0; rank * dim + rank],
+            c: vec![0.0; rank],
         }
     }
 
-    /// Refill the dropout mask in place, drawing exactly `mask.len()`
-    /// uniforms, one per input feature in feature order. The trainer's
-    /// RNG stream is therefore one shuffle per epoch followed by `dim`
-    /// draws per example, in the shuffled order; Tables 4 and 6 (and
-    /// the full-precision `tests/golden/cv_tables.json`) pin that order,
-    /// so any change to it shows up as a golden diff.
-    pub fn fill_mask(&mut self, rng: &mut crate::train::Rng, dropout: f64) {
-        for m in &mut self.mask {
-            *m = rng.uniform() >= dropout;
+    /// Load example `x`, whose nonzero indices are `nonzeros`, with input
+    /// dropout applied. Feature `j` is kept iff the generator's uniform
+    /// `j` draws ahead (see [`Rng::uniform_ahead`](crate::train::Rng::uniform_ahead))
+    /// is `>= dropout`, and the generator then advances
+    /// by `dim` draws: the stream is one shuffle per epoch followed by
+    /// `dim` draws per example, in the shuffled order, exactly as if
+    /// every feature drew its mask bit in turn. Only the draws of
+    /// nonzero features are evaluated (a dropped zero is still zero).
+    /// Tables 4 and 6 (and the full-precision `tests/golden/cv_tables.json`
+    /// and `cv_adapters.json`) pin that order.
+    pub fn load(&mut self, x: &[f64], nonzeros: &[u32], dropout: f64, rng: &mut crate::train::Rng) {
+        debug_assert_eq!(x.len(), self.xd.len());
+        for &j in &self.kept {
+            self.xd[j as usize] = 0.0;
         }
+        self.kept.clear();
+        for &j in nonzeros {
+            if rng.uniform_ahead(u64::from(j)) >= dropout {
+                self.kept.push(j);
+                self.xd[j as usize] = x[j as usize];
+            }
+        }
+        rng.skip(self.xd.len() as u64);
     }
 }
-
-/// Adapter rows whose `A·x` dot products [`LoraHead::adam_step_scratch`]
-/// accumulates side by side.
-const AX_BLOCK: usize = 4;
 
 /// A rank-`r` adapter over a `dim`-wide linear head.
 ///
@@ -164,9 +180,10 @@ impl LoraHead {
 
     /// Adapter gradients for one example (cross-entropy loss) without
     /// applying them. Returns `(grad_a, grad_b, loss)`. This is the
-    /// allocating reference path; training proper uses
-    /// [`LoraHead::adam_step_scratch`], which produces bit-identical
-    /// gradients without the intermediate `Vec`s.
+    /// allocating dense reference; training proper uses
+    /// [`LoraHead::adam_step_scratch`], which updates the parameters
+    /// exactly as these gradients fed to
+    /// [`Adam::step_fast`](crate::adam::Adam::step_fast) would.
     pub fn grads(&self, x: &[f64], y: f64, dropout_mask: &[bool]) -> (Vec<f64>, Vec<f64>, f64) {
         let dim = self.dim();
         let (a, b) = self.ab.split_at(self.rank * dim);
@@ -211,95 +228,65 @@ impl LoraHead {
         loss
     }
 
-    /// Allocation-free fused training step: dropout + forward + backward
-    /// into `scratch`, then one [`Adam::step_fast`](crate::adam::Adam)
-    /// over the whole contiguous parameter buffer. `scratch.mask` must
-    /// already hold this step's dropout draw (see
-    /// [`TrainScratch::fill_mask`]).
+    /// Allocation-free fused training step on the example loaded into
+    /// `scratch` (see [`TrainScratch::load`]): a forward pass over the
+    /// kept nonzero inputs, then one
+    /// [`Adam::step_fast_outer`](crate::adam::Adam::step_fast_outer) over
+    /// the whole contiguous parameter buffer that forms
+    /// `grad_A[r][j] = c[r]·xd[j]` inline.
     ///
-    /// Gradients are bit-identical to [`LoraHead::grads`]: the dropped
-    /// input and the base-head dot product are fused into one pass that
-    /// preserves the reference accumulation order, each row of `A·x` sums
-    /// left to right as the reference does (rows interleaved in blocks),
-    /// and the hoisted `err·scale·B_r` factor keeps the reference's
-    /// left-associated multiply order. The (unused) loss
-    /// is not computed.
-    pub fn adam_step_scratch(
-        &mut self,
-        x: &[f64],
-        y: f64,
-        opt: &mut crate::adam::Adam,
-        scratch: &mut TrainScratch,
-    ) {
+    /// The parameters end bit-identical to [`LoraHead::grads`] followed by
+    /// `Adam::step_fast`. The base-head logit and every row of `A·x` sum
+    /// in index order and skip only exact-zero terms, which cannot move a
+    /// nonzero sum. Only the sign of a zero can differ (a zero sum, or a
+    /// `-0.0` input that `xd` holds as `+0`), and neither `sigmoid` nor
+    /// Adam sees it: the moments start at `+0`, and `+0 + ±0 = +0`. The
+    /// row factors `c[r] = err·scale·B_r` come from the pre-step `B` and
+    /// keep the reference's left-associated multiply order. The (unused)
+    /// loss is not computed.
+    pub fn adam_step_scratch(&mut self, y: f64, opt: &mut crate::adam::Adam, scratch: &mut TrainScratch) {
         let dim = self.dim();
-        debug_assert_eq!(x.len(), dim);
-        debug_assert_eq!(scratch.mask.len(), dim);
-        debug_assert_eq!(scratch.grads.len(), self.ab.len());
+        debug_assert_eq!(scratch.xd.len(), dim);
         let scale = self.alpha / self.rank.max(1) as f64;
         let (a, b) = self.ab.split_at(self.rank * dim);
+        let TrainScratch { kept, xd, ax, c } = scratch;
 
-        // Fused dropout + base-head forward (same accumulation order as
-        // `logit` over the dropped input).
+        // One pass over the kept inputs feeds the base-head logit and all
+        // `rank` activations, each its own add chain in index order.
+        ax.fill(0.0);
         let mut z = self.b_base;
-        for (((&xi, &keep), xd), &w) in x
-            .iter()
-            .zip(&scratch.mask)
-            .zip(scratch.xd.iter_mut())
-            .zip(&self.w_base)
-        {
-            let xi = if keep { xi } else { 0.0 };
-            *xd = xi;
-            z += w * xi;
-        }
-        // Adapter forward, activations kept for the backward pass. Rows
-        // go in blocks of `AX_BLOCK` accumulators over one pass of the
-        // input, so their independent add chains overlap; each row still
-        // sums j = 0..dim in order, so every activation is bit-identical
-        // to a row-at-a-time dot product.
-        let xd = &scratch.xd[..dim];
-        let mut r = 0;
-        while r + AX_BLOCK <= self.rank {
-            let rows: [&[f64]; AX_BLOCK] =
-                std::array::from_fn(|i| &a[(r + i) * dim..(r + i + 1) * dim]);
-            let mut acc = [0.0f64; AX_BLOCK];
-            for (j, &xi) in xd.iter().enumerate() {
-                for (acc, row) in acc.iter_mut().zip(&rows) {
-                    *acc += row[j] * xi;
-                }
+        for &j in kept.iter() {
+            let j = j as usize;
+            let xj = xd[j];
+            z += self.w_base[j] * xj;
+            for (acc, &arj) in ax.iter_mut().zip(a[j..].iter().step_by(dim)) {
+                *acc += arj * xj;
             }
-            scratch.ax[r..r + AX_BLOCK].copy_from_slice(&acc);
-            r += AX_BLOCK;
         }
-        for r in r..self.rank {
-            let mut ax = 0.0;
-            for (a, xi) in a[r * dim..(r + 1) * dim].iter().zip(xd) {
-                ax += a * xi;
-            }
-            scratch.ax[r] = ax;
-        }
-        for (&b, &ax) in b.iter().zip(&scratch.ax) {
+        for (&b, &ax) in b.iter().zip(ax.iter()) {
             z += scale * b * ax;
         }
 
-        let err = sigmoid(z) - y; // dL/dz for cross-entropy + sigmoid
-        let (ga, gb) = scratch.grads.split_at_mut(self.rank * dim);
-        for r in 0..self.rank {
-            gb[r] = err * scale * scratch.ax[r];
-            let c = err * scale * b[r];
-            for (g, xi) in ga[r * dim..(r + 1) * dim].iter_mut().zip(&scratch.xd) {
-                *g = c * xi;
-            }
+        // dL/dz for cross-entropy + sigmoid, times the LoRA scale.
+        let es = (sigmoid(z) - y) * scale;
+        for ((c, gb), &b) in c.iter_mut().zip(ax.iter_mut()).zip(b) {
+            *c = es * b;
+            *gb *= es;
         }
-        opt.step_fast(&mut self.ab, &scratch.grads);
+        opt.step_fast_outer(&mut self.ab, c, xd, ax);
     }
 }
 
 /// Fit a plain logistic head by gradient descent (used to build the
 /// frozen base head that mimics the surrogate's behaviour). Accepts any
 /// slice-of-rows (`Vec<f64>` or borrowed `&[f64]` rows alike), so the
-/// fast trainer can feed cached artifact vectors without copying them.
+/// fast trainer can feed cached artifact vectors without copying them;
+/// `nonzeros[i]` is row `i`'s [`nonzero_indices`]. The logit sums only
+/// those features, in index order (a skipped `w·0` term cannot move a
+/// nonzero sum); the weight-decay update stays dense.
 pub fn fit_base_head<X: AsRef<[f64]>>(
     xs: &[X],
+    nonzeros: &[Vec<u32>],
     ys: &[f64],
     epochs: usize,
     lr: f64,
@@ -309,11 +296,11 @@ pub fn fit_base_head<X: AsRef<[f64]>>(
     let mut w = vec![0.0f64; dim];
     let mut b = 0.0f64;
     for _ in 0..epochs {
-        for (x, y) in xs.iter().zip(ys) {
+        for ((x, nz), y) in xs.iter().zip(nonzeros).zip(ys) {
             let x = x.as_ref();
             let mut z = b;
-            for (wi, xi) in w.iter().zip(x) {
-                z += wi * xi;
+            for &j in nz {
+                z += w[j as usize] * x[j as usize];
             }
             let err = sigmoid(z) - y;
             for (wi, xi) in w.iter_mut().zip(x) {
@@ -375,8 +362,9 @@ mod tests {
     #[test]
     fn base_head_fits_linear_rule() {
         let xs: Vec<Vec<f64>> = (0..50).map(|i| vec![(i % 2) as f64]).collect();
+        let nz: Vec<Vec<u32>> = xs.iter().map(|x| nonzero_indices(x)).collect();
         let ys: Vec<f64> = (0..50).map(|i| (i % 2) as f64).collect();
-        let (w, b) = fit_base_head(&xs, &ys, 300, 0.5, 0.0);
+        let (w, b) = fit_base_head(&xs, &nz, &ys, 300, 0.5, 0.0);
         assert!(sigmoid(w[0] + b) > 0.85);
         assert!(sigmoid(b) < 0.15);
     }
@@ -386,34 +374,102 @@ mod tests {
         // The fast trainer hands over cached `&[f64]` artifact rows; the
         // generic must produce the exact same fit as owned rows.
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 2) as f64, 0.25]).collect();
+        let nz: Vec<Vec<u32>> = xs.iter().map(|x| nonzero_indices(x)).collect();
         let ys: Vec<f64> = (0..20).map(|i| (i % 2) as f64).collect();
         let borrowed: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        assert_eq!(fit_base_head(&xs, &ys, 50, 0.3, 1e-3), fit_base_head(&borrowed, &ys, 50, 0.3, 1e-3));
+        assert_eq!(
+            fit_base_head(&xs, &nz, &ys, 50, 0.3, 1e-3),
+            fit_base_head(&borrowed, &nz, &ys, 50, 0.3, 1e-3)
+        );
+    }
+
+    /// A test input with exact zeros of both signs, and every seventh
+    /// example all zero.
+    fn sparse_example(step: usize, dim: usize) -> Vec<f64> {
+        if step % 7 == 3 {
+            return vec![0.0; dim];
+        }
+        (0..dim)
+            .map(|i| match (step + i) % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (((step * dim + i) as f64) * 0.37).sin(),
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn nonzero_indices_skip_both_zeros() {
+        assert_eq!(nonzero_indices(&[0.0, 1.5, -0.0, -2.0, 0.0]), vec![1, 3]);
+        assert!(nonzero_indices(&[0.0; 4]).is_empty());
+    }
+
+    #[test]
+    fn base_fit_over_nonzeros_matches_the_dense_fit() {
+        // Dense reference: every logit sums over all features.
+        fn dense_fit(xs: &[Vec<f64>], ys: &[f64], epochs: usize, lr: f64, l2: f64) -> (Vec<f64>, f64) {
+            let mut w = vec![0.0f64; xs[0].len()];
+            let mut b = 0.0f64;
+            for _ in 0..epochs {
+                for (x, y) in xs.iter().zip(ys) {
+                    let mut z = b;
+                    for (wi, xi) in w.iter().zip(x) {
+                        z += wi * xi;
+                    }
+                    let err = sigmoid(z) - y;
+                    for (wi, xi) in w.iter_mut().zip(x) {
+                        *wi -= lr * (err * xi + l2 * *wi);
+                    }
+                    b -= lr * err;
+                }
+            }
+            (w, b)
+        }
+        let xs: Vec<Vec<f64>> = (0..40).map(|i| sparse_example(i, 11)).collect();
+        let nz: Vec<Vec<u32>> = xs.iter().map(|x| nonzero_indices(x)).collect();
+        let ys: Vec<f64> = (0..40).map(|i| f64::from(i % 3 == 0)).collect();
+        let (w, b) = fit_base_head(&xs, &nz, &ys, 12, 0.1, 1e-3);
+        let (dw, db) = dense_fit(&xs, &ys, 12, 0.1, 1e-3);
+        assert_eq!(bits(&w), bits(&dw));
+        assert_eq!(b.to_bits(), db.to_bits());
     }
 
     #[test]
     fn fused_step_gradients_match_reference_bitwise() {
-        // Ranks below, at, between and at twice the `A·x` block width,
-        // so both the blocked rows and the leftover rows are covered.
-        for rank in [1, AX_BLOCK, AX_BLOCK + 2, 2 * AX_BLOCK] {
-            let mut rng = crate::train::Rng::new(11);
-            let dim = 13;
-            let w: Vec<f64> = (0..dim).map(|_| rng.uniform() - 0.5).collect();
-            let mut head = LoraHead::new(w, 0.2, rank, 16.0, 5);
-            let cfg = crate::adam::AdamConfig { lr: 0.01, ..Default::default() };
-            let mut opt = crate::adam::Adam::new(head.adapter_params(), cfg);
-            let mut scratch = TrainScratch::new(rank, dim);
-            let mut mask_rng = crate::train::Rng::new(99);
-            for step in 0..50 {
-                let x: Vec<f64> =
-                    (0..dim).map(|i| (((step * dim + i) as f64) * 0.37).sin()).collect();
-                let y = f64::from(step % 2 == 0);
-                scratch.fill_mask(&mut mask_rng, 0.3);
-                let (ga, gb, _) = head.grads(&x, y, &scratch.mask);
-                head.adam_step_scratch(&x, y, &mut opt, &mut scratch);
-                let (sa, sb) = scratch.grads.split_at(rank * dim);
-                assert_eq!(sa, &ga[..], "rank {rank}: grad_A diverged at step {step}");
-                assert_eq!(sb, &gb[..], "rank {rank}: grad_B diverged at step {step}");
+        // After every step, the sparse fused step's parameters equal bit
+        // for bit the dense reference: a mask drawn densely from a clone
+        // of the step's RNG, `grads`, then `Adam::step_fast`. Inputs carry
+        // exact zeros, `-0.0` and all-zero examples.
+        let dim = 13;
+        for rank in [1, 3, 4, 8, 12] {
+            for dropout in [0.0, 0.3, 1.0] {
+                let mut rng = crate::train::Rng::new(11);
+                let w: Vec<f64> = (0..dim).map(|_| rng.uniform() - 0.5).collect();
+                let mut head = LoraHead::new(w, 0.2, rank, 16.0, 5);
+                let mut ref_head = head.clone();
+                let cfg = crate::adam::AdamConfig { lr: 0.01, ..Default::default() };
+                let mut opt = crate::adam::Adam::new(head.adapter_params(), cfg);
+                let mut ref_opt = opt.clone();
+                let mut scratch = TrainScratch::new(rank, dim);
+                let mut rng = crate::train::Rng::new(99);
+                for step in 0..60 {
+                    let x = sparse_example(step, dim);
+                    let y = f64::from(step % 2 == 0);
+                    let mut ref_rng = rng.clone();
+                    let mask: Vec<bool> = (0..dim).map(|_| ref_rng.uniform() >= dropout).collect();
+                    let (ga, gb, _) = ref_head.grads(&x, y, &mask);
+                    ref_opt.step_fast(&mut ref_head.ab, &[ga, gb].concat());
+
+                    scratch.load(&x, &nonzero_indices(&x), dropout, &mut rng);
+                    head.adam_step_scratch(y, &mut opt, &mut scratch);
+                    let at = format!("rank {rank}, dropout {dropout}, step {step}");
+                    assert_eq!(bits(&head.ab), bits(&ref_head.ab), "{at}");
+                    assert_eq!(rng.clone().next_u64(), ref_rng.next_u64(), "{at}: RNG advanced differently");
+                }
             }
         }
     }
@@ -441,12 +497,14 @@ mod tests {
             let x: Vec<f64> =
                 (0..dim).map(|i| (((step * dim + i) as f64) * 0.61).cos()).collect();
             let y = f64::from(step % 3 == 0);
-            scratch.fill_mask(&mut mask_rng, 0.1);
-            let (ga, gb, _) = ref_head.grads(&x, y, &scratch.mask);
+            let mut ref_rng = mask_rng.clone();
+            let mask: Vec<bool> = (0..dim).map(|_| ref_rng.uniform() >= 0.1).collect();
+            let (ga, gb, _) = ref_head.grads(&x, y, &mask);
             let (a, b) = ref_head.ab.split_at_mut(rank * dim);
             opt_a.step(a, &ga);
             opt_b.step(b, &gb);
-            fast_head.adam_step_scratch(&x, y, &mut opt, &mut scratch);
+            scratch.load(&x, &nonzero_indices(&x), 0.1, &mut mask_rng);
+            fast_head.adam_step_scratch(y, &mut opt, &mut scratch);
         }
         for (p, q) in ref_head.a().iter().zip(fast_head.a()) {
             assert!((p - q).abs() < 1e-9, "{p} vs {q}");

@@ -1,6 +1,6 @@
 //! Training loop, configuration, and deterministic RNG.
 
-use crate::model::{fit_base_head, LoraHead, TrainScratch};
+use crate::model::{fit_base_head, nonzero_indices, LoraHead, TrainScratch};
 use llm::{KernelView, PromptStrategy, Surrogate};
 use serde::{Deserialize, Serialize};
 
@@ -98,17 +98,21 @@ impl FineTuned {
     /// The training loop. It (1) borrows feature vectors straight from
     /// the shared analysis artifacts instead of copying each row, (2)
     /// asks the surrogate once per kernel through the
-    /// [`Surrogate::predict_memo`] cache, (3) reuses one flat
-    /// [`TrainScratch`] for every step's dropout mask / activations /
-    /// gradients, and (4) drives a single fused Adam over the contiguous
-    /// adapter buffer via `step_fast`. The RNG stream is consumed in a
-    /// fixed order (see [`TrainScratch::fill_mask`]), so seeded runs are
-    /// reproducible and the Table 4/6 goldens pin the result.
+    /// [`Surrogate::predict_memo`] cache, (3) lists each example's
+    /// nonzero features once, so the base fit's logits, the dropout
+    /// draws and the adapter forward pass touch only those, (4) reuses
+    /// one flat [`TrainScratch`] for every step, and (5) drives a single
+    /// fused Adam over the contiguous adapter buffer via
+    /// `step_fast_outer`, which forms the adapter gradient inline. The
+    /// RNG stream is consumed in a fixed order (see
+    /// [`TrainScratch::load`]), so seeded runs are reproducible and the
+    /// Table 4/6 goldens pin the result.
     fn train_core(surrogate: &Surrogate, train: &[&KernelView], cfg: &TrainConfig) -> FineTuned {
         // 1. Build the frozen base head: fit to the surrogate's own
         //    answers (not the ground truth) — this is the "pre-trained
         //    model" the adapter perturbs.
         let xs: Vec<&[f64]> = train.iter().map(|k| crate::ngram::feature_vector_of(k)).collect();
+        let nonzeros: Vec<Vec<u32>> = xs.iter().map(|x| nonzero_indices(x)).collect();
         let mut base: Vec<(u32, bool)> =
             train.iter().map(|k| (k.id, surrogate.predict_memo(k, PromptStrategy::P1))).collect();
         let base_ys: Vec<f64> = base.iter().map(|&(_, p)| f64::from(p)).collect();
@@ -118,7 +122,7 @@ impl FineTuned {
         let (w0, b0) = if xs.is_empty() {
             (vec![0.0; crate::ngram::FEATURE_DIM], 0.0)
         } else {
-            fit_base_head(&xs, &base_ys, 12, 0.1, 1e-3)
+            fit_base_head(&xs, &nonzeros, &base_ys, 12, 0.1, 1e-3)
         };
 
         // 2. LoRA fine-tuning on the ground-truth labels (Adam, as in
@@ -132,9 +136,8 @@ impl FineTuned {
         for _ in 0..cfg.epochs {
             rng.shuffle(&mut order);
             for &i in &order {
-                scratch.fill_mask(&mut rng, cfg.dropout);
-                let y = f64::from(train[i].race);
-                head.adam_step_scratch(xs[i], y, &mut opt, &mut scratch);
+                scratch.load(xs[i], &nonzeros[i], cfg.dropout, &mut rng);
+                head.adam_step_scratch(f64::from(train[i].race), &mut opt, &mut scratch);
             }
         }
 
@@ -168,6 +171,11 @@ impl FineTuned {
     /// Number of training examples seen.
     pub fn train_size(&self) -> usize {
         self.base.len()
+    }
+
+    /// The trained head: frozen base plus adapter.
+    pub fn head(&self) -> &LoraHead {
+        &self.head
     }
 }
 

@@ -1,7 +1,8 @@
 //! Proves the fused training loop's core claim with a counting global
-//! allocator: after warmup, a training step — dropout refill, forward,
-//! backward, fused Adam update, even the epoch-boundary shuffle —
-//! performs **zero** heap allocations.
+//! allocator: after warmup, a training step — loading the example with
+//! its dropout draws, the sparse forward pass, the fused gradient and
+//! Adam update, even the epoch-boundary shuffle — performs **zero**
+//! heap allocations.
 //!
 //! Run with `cargo test -p finetune --features count-train-allocs`.
 //! Counting is gated on a thread-local flag so allocations from other
@@ -10,7 +11,7 @@
 
 #![cfg(feature = "count-train-allocs")]
 
-use finetune::{Adam, AdamConfig, LoraHead, Rng, TrainScratch};
+use finetune::{nonzero_indices, Adam, AdamConfig, LoraHead, Rng, TrainScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,9 +85,15 @@ fn fused_training_steps_are_allocation_free_after_warmup() {
     let rank = 8;
     let mut setup_rng = Rng::new(3);
     let w: Vec<f64> = (0..dim).map(|_| setup_rng.uniform() - 0.5).collect();
+    // Sparse like real feature vectors: about a third of them nonzero.
     let xs: Vec<Vec<f64>> = (0..32)
-        .map(|_| (0..dim).map(|_| setup_rng.uniform() - 0.5).collect())
+        .map(|_| {
+            (0..dim)
+                .map(|_| if setup_rng.uniform() < 0.3 { setup_rng.uniform() - 0.5 } else { 0.0 })
+                .collect()
+        })
         .collect();
+    let nonzeros: Vec<Vec<u32>> = xs.iter().map(|x| nonzero_indices(x)).collect();
 
     let mut head = LoraHead::new(w, 0.1, rank, 16.0, 7);
     let mut opt = Adam::new(head.adapter_params(), AdamConfig { lr: 0.004, ..Default::default() });
@@ -97,8 +104,8 @@ fn fused_training_steps_are_allocation_free_after_warmup() {
     // Warmup epoch: first touches of every buffer.
     rng.shuffle(&mut order);
     for &i in &order {
-        scratch.fill_mask(&mut rng, 0.1);
-        head.adam_step_scratch(&xs[i], f64::from(i % 2 == 0), &mut opt, &mut scratch);
+        scratch.load(&xs[i], &nonzeros[i], 0.1, &mut rng);
+        head.adam_step_scratch(f64::from(i % 2 == 0), &mut opt, &mut scratch);
     }
 
     // Steady state: several full epochs, shuffles included, zero allocs.
@@ -106,8 +113,8 @@ fn fused_training_steps_are_allocation_free_after_warmup() {
         for _ in 0..5 {
             rng.shuffle(&mut order);
             for &i in &order {
-                scratch.fill_mask(&mut rng, 0.1);
-                head.adam_step_scratch(&xs[i], f64::from(i % 2 == 0), &mut opt, &mut scratch);
+                scratch.load(&xs[i], &nonzeros[i], 0.1, &mut rng);
+                head.adam_step_scratch(f64::from(i % 2 == 0), &mut opt, &mut scratch);
             }
         }
     });

@@ -158,7 +158,7 @@ pub fn check_adversarial_compiled(
             &lowered
         }
     };
-    let run_seed = |seed| observe_oracle(unit, prog, &Config { seed, ..base.clone() });
+    let run_seed = |seed| observe_oracle(prog, &Config { seed, ..base.clone() });
     let report = sweep(seeds, run_seed, |_, _| ControlFlow::Continue(()))?;
     Ok(CompiledSweep { report })
 }
@@ -409,7 +409,7 @@ int main() {
         let mut ran = Vec::new();
         let run_seed = |seed| {
             ran.push(seed);
-            observe_oracle(&unit, &prog, &Config { seed, ..Config::default() })
+            observe_oracle(&prog, &Config { seed, ..Config::default() })
         };
         let mut visited = Vec::new();
         let report = sweep(&[1, 7, 23], run_seed, |o, r| {

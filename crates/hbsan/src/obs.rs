@@ -13,8 +13,9 @@
 //! * the bytecode executor snapshots its global slots
 //!   ([`exec::run_program_with_globals`](crate::exec)); the lowerer
 //!   numbers one slot per file-scope declarator in declaration order,
-//!   which is exactly the order [`global_names`] reports, so both
-//!   engines produce identically-keyed observations.
+//!   which is exactly the order [`global_names`] reports, and records
+//!   each slot's name, so both engines produce identically-keyed
+//!   observations without the executor walking the source per run.
 //!
 //! [`observe_oracle`] is the oracle's observation: it runs the bytecode
 //! executor (like [`run_oracle`](crate::exec::run_oracle)) and hands
@@ -70,16 +71,15 @@ pub fn global_names(unit: &TranslationUnit) -> Vec<String> {
 }
 
 fn pack(
-    unit: &TranslationUnit,
+    names: impl ExactSizeIterator<Item = String>,
     out: crate::interp::RunOutput,
     globals: Vec<Vec<Value>>,
 ) -> (Observation, Trace) {
-    let names = global_names(unit);
     debug_assert_eq!(names.len(), globals.len(), "one snapshot per file-scope declarator");
     let obs = Observation {
         printed: out.printed,
         exit: out.exit,
-        globals: names.into_iter().zip(globals).collect(),
+        globals: names.zip(globals).collect(),
         schedule_sensitive: out.schedule_sensitive,
     };
     (obs, out.trace)
@@ -95,17 +95,18 @@ pub(crate) fn observe_traced(
     unit: &TranslationUnit,
     cfg: &Config,
 ) -> RtResult<(Observation, Trace)> {
-    run_with_globals(unit, cfg).map(|(out, globals)| pack(unit, out, globals))
+    run_with_globals(unit, cfg)
+        .map(|(out, globals)| pack(global_names(unit).into_iter(), out, globals))
 }
 
-/// Observe one bytecode-executor run of `unit`'s lowered program, with
-/// the run's trace.
-pub fn observe_oracle(
-    unit: &TranslationUnit,
-    prog: &Program,
-    cfg: &Config,
-) -> RtResult<(Observation, Trace)> {
-    run_program_with_globals(prog, cfg).map(|(out, globals)| pack(unit, out, globals))
+/// Observe one bytecode-executor run of a lowered program, with the
+/// run's trace. The globals' names come from the program's slot table,
+/// so a run does not walk the source again.
+pub fn observe_oracle(prog: &Program, cfg: &Config) -> RtResult<(Observation, Trace)> {
+    run_program_with_globals(prog, cfg).map(|(out, globals)| {
+        let names = prog.global_names.iter().map(|&n| prog.names[n as usize].clone());
+        pack(names, out, globals)
+    })
 }
 
 /// Bit-precise value identity (floats by bit pattern, so NaNs and
@@ -199,7 +200,7 @@ mod tests {
         let prog = lower(&unit);
         for seed in [1u64, 7, 23] {
             let via_interp = observe(&unit, &cfg(seed)).unwrap();
-            let (obs, trace) = observe_oracle(&unit, &prog, &cfg(seed)).unwrap();
+            let (obs, trace) = observe_oracle(&prog, &cfg(seed)).unwrap();
             assert_eq!(via_interp, obs);
             assert_eq!(trace, crate::run(&unit, &cfg(seed)).unwrap().trace);
         }

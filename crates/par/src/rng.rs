@@ -63,6 +63,18 @@ impl Rng {
         unit_f64(self.next_u64())
     }
 
+    /// The uniform that the `(k+1)`-th call to [`Rng::uniform`] from
+    /// here would return, without advancing: SplitMix64's state after
+    /// `n` draws is `state + n·GOLDEN`, so any draw ahead costs one mix.
+    pub fn uniform_ahead(&self, k: u64) -> f64 {
+        unit_f64(mix64(self.0.wrapping_add(k.wrapping_add(1).wrapping_mul(GOLDEN))))
+    }
+
+    /// Advance the generator as `n` calls to [`Rng::next_u64`] would.
+    pub fn skip(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n.wrapping_mul(GOLDEN));
+    }
+
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -161,6 +173,54 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn uniform_ahead_is_a_later_uniform() {
+        for seed in [0u64, 1, 2024 ^ 0xF17E, u64::MAX] {
+            let rng = Rng::new(seed);
+            let mut draws = rng.clone();
+            for k in 0..300 {
+                assert_eq!(rng.uniform_ahead(k), draws.uniform(), "seed {seed}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_equals_repeated_next_u64() {
+        // Starting states just below `u64::MAX` make the skip wrap.
+        let starts = [Rng::new(7), Rng(u64::MAX), Rng(u64::MAX - GOLDEN / 2), Rng(0)];
+        for start in starts {
+            for n in [0u64, 1, 2, 3, 279, 1000] {
+                let mut skipped = start.clone();
+                skipped.skip(n);
+                let mut stepped = start.clone();
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                assert_eq!(skipped.0, stepped.0, "start {:#x}, n {n}", start.0);
+                assert_eq!(skipped.next_u64(), stepped.next_u64());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn skip_ahead_matches_the_stream(seed in proptest::prelude::any::<u64>(), k in 0u64..600, n in 0u64..600) {
+            let mut rng = Rng::new(seed);
+            let ahead = rng.uniform_ahead(k);
+            let mut stepped = rng.clone();
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            proptest::prop_assert_eq!(ahead.to_bits(), stepped.uniform().to_bits());
+            let mut stepped = rng.clone();
+            for _ in 0..n {
+                stepped.next_u64();
+            }
+            rng.skip(n);
+            proptest::prop_assert_eq!(rng.next_u64(), stepped.next_u64());
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub(crate) fn certify(
     // original's, excluding globals the patch declares scratch.
     let prog = hbsan::lower(&patched);
     let run_seed =
-        |seed| obs::observe_oracle(&patched, &prog, &Config { seed, ..Config::default() });
+        |seed| obs::observe_oracle(&prog, &Config { seed, ..Config::default() });
     let mut runs = Vec::with_capacity(DEFAULT_SEEDS.len());
     let report = hbsan::sweep(&DEFAULT_SEEDS, run_seed, |observation, report| {
         runs.push(observation);

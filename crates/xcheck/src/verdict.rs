@@ -76,7 +76,7 @@ pub fn detect(artifact: &AnalyzedKernel) -> Option<Evidence> {
     let unit = artifact.ast.as_ref()?;
     let stat = racecheck::check(unit);
     let prog = artifact.oracle_program()?;
-    let run_seed = |seed| hbsan::observe_oracle(unit, prog, &Config { seed, ..Config::default() });
+    let run_seed = |seed| hbsan::observe_oracle(prog, &Config { seed, ..Config::default() });
     let mut observations = Vec::new();
     let dynamic = hbsan::sweep(&DEFAULT_SEEDS, run_seed, |observation, _| {
         observations.push(observation);

@@ -99,3 +99,41 @@ fn cv_tables_match_golden() {
     let rows = (eval::table4(), eval::table6());
     check("cv_tables.json", &serde_json::to_string_pretty(&rows).unwrap());
 }
+
+/// FNV-1a over the little-endian bit patterns of `xs`.
+fn fnv1a_bits(xs: &[f64]) -> u64 {
+    xs.iter().flat_map(|x| x.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The trained adapters behind Tables 4 and 6, one entry per CV job
+/// (model × fold): a digest of every adapter parameter's bit pattern,
+/// `A` then `B`. `cv_tables.json` pins only aggregate rows, where a
+/// 1-ulp drift in a parameter rarely flips a prediction; this pins the
+/// trainer's arithmetic itself.
+#[test]
+fn cv_adapters_match_golden() {
+    use racellm::finetune::{folds_for, FineTuned, TrainConfig};
+    use racellm::llm::ModelKind;
+    // The CV setup of `eval::table4`/`table6`: fold seed, models, k = 5.
+    const CV_SEED: u64 = 20230915;
+    let vs = eval::corpus_views();
+    let folds = folds_for(vs, 5, CV_SEED);
+    let mut entries = Vec::new();
+    for m in [ModelKind::StarChatBeta, ModelKind::Llama2_7b] {
+        let s = &eval::corpus_surrogates().iter().find(|(k, _)| *k == m).unwrap().1;
+        for (f, fold) in folds.iter().enumerate() {
+            let ft = FineTuned::train_on(s, vs, &fold.train, &TrainConfig::for_model(m));
+            let head = ft.head();
+            let params: Vec<f64> = head.a().iter().chain(head.b()).copied().collect();
+            entries.push(serde_json::json!({
+                "model": m.short(),
+                "fold": f,
+                "train_size": ft.train_size(),
+                "fnv1a": format!("{:016x}", fnv1a_bits(&params)),
+            }));
+        }
+    }
+    check("cv_adapters.json", &serde_json::to_string_pretty(&entries).unwrap());
+}
