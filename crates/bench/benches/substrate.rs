@@ -168,38 +168,6 @@ fn bench_dynamic_oracle(c: &mut Criterion) {
         });
     }
 
-    // Full-corpus adversarial sweep (3 schedule seeds per kernel) with
-    // the shipping `check_adversarial`, one kernel at a time and with
-    // kernels fanned over the RACELLM_WORKERS default.
-    let seeds = [1u64, 7, 23];
-    let units: Vec<(&str, minic::TranslationUnit)> = drb_gen::corpus()
-        .iter()
-        .filter(|k| k.behavior != drb_gen::ToolBehavior::DynUnmodeled)
-        .map(|k| (k.name.as_str(), minic::parse(&k.trimmed_code).unwrap()))
-        .collect();
-    g.bench_function("corpus_sweep_epoch_serial", |b| {
-        b.iter(|| {
-            let races = units
-                .iter()
-                .filter(|(_, unit)| {
-                    hbsan::check_adversarial(unit, &hbsan::Config::default(), &seeds)
-                        .map(|r| r.has_race())
-                        .unwrap_or(false)
-                })
-                .count();
-            black_box(races)
-        })
-    });
-    g.bench_function("corpus_sweep_epoch_parallel", |b| {
-        b.iter(|| {
-            let verdicts = par::par_map(&units, par::default_workers(), |(_, unit)| {
-                hbsan::check_adversarial(unit, &hbsan::Config::default(), &seeds)
-                    .map(|r| r.has_race())
-                    .unwrap_or(false)
-            });
-            black_box(verdicts.iter().filter(|v| **v).count())
-        })
-    });
     g.finish();
 }
 

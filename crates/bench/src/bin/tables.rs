@@ -130,14 +130,53 @@ fn write_out(dir: &str) {
     println!("wrote {} and {}", dir.join("tables.md").display(), dir.join("tables.json").display());
 }
 
+/// Run `git` with `args` and return its trimmed stdout, or `None` if it
+/// could not run or failed.
+fn git(args: &[&str]) -> Option<String> {
+    std::process::Command::new("git")
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|out| out.trim().to_string())
+}
+
+/// The git revision that was measured: `HEAD`, suffixed `-dirty` when a
+/// tracked file other than the `BENCH_*.json` outputs differs from it
+/// (the measured code is then not `HEAD`'s), or `"unknown"` outside a
+/// checkout (or without git).
+fn git_revision() -> String {
+    let Some(head) = git(&["rev-parse", "HEAD"]).filter(|rev| !rev.is_empty()) else {
+        return "unknown".to_string();
+    };
+    let changes = git(&["status", "--porcelain", "--untracked-files=no", "--", ":(top,exclude)BENCH_*.json"]);
+    match changes {
+        Some(changes) if changes.is_empty() => head,
+        _ => format!("{head}-dirty"),
+    }
+}
+
+/// Write one `BENCH_*.json` file, stamped with where it was measured:
+/// the host's core count (`available_parallelism`) and the git revision.
+fn write_bench_file(path: &str, fields: serde_json::Value) {
+    let serde_json::Value::Object(mut out) = fields else {
+        unreachable!("bench measurements are a JSON object")
+    };
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    out.push(("host_cores".to_string(), serde_json::json!(cores)));
+    out.push(("git_revision".to_string(), serde_json::json!(git_revision())));
+    let out = serde_json::Value::Object(out);
+    let pretty = serde_json::to_string_pretty(&out).expect("serializable");
+    std::fs::write(path, &pretty).expect("write bench json");
+    println!("{pretty}");
+    println!("wrote {path}");
+}
+
 /// Time the full-corpus adversarial oracle sweep (3 schedule seeds per
-/// kernel) through three configurations and write the measurements as
-/// JSON:
-///
-/// * `epoch_serial` — the shipping `check_adversarial`, one kernel at a
-///   time (interned traces + epoch cells + short-circuit).
-/// * `epoch_parallel` — the same, kernels fanned over `RACELLM_WORKERS`.
-/// * `bytecode` — the sweep over kernels lowered once up front.
+/// kernel, each kernel lowered once up front) with the bytecode
+/// executor, the only oracle engine a production path runs, and write
+/// the measurement as JSON.
 fn write_bench_json(path: &str) {
     const SEEDS: [u64; 3] = [1, 7, 23];
     let units: Vec<minic::TranslationUnit> = drb_gen::corpus()
@@ -145,44 +184,11 @@ fn write_bench_json(path: &str) {
         .filter(|k| k.behavior != drb_gen::ToolBehavior::DynUnmodeled)
         .map(|k| minic::parse(&k.trimmed_code).expect("corpus kernels parse"))
         .collect();
-
-    let time = |f: &dyn Fn() -> usize| {
-        // One warmup pass, then best-of-3 to damp scheduler noise.
-        let races = f();
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let t = Instant::now();
-            assert_eq!(f(), races, "race count must not vary across passes");
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (races, best)
-    };
-
-    let (races_serial, epoch_serial) = time(&|| {
-        units
-            .iter()
-            .filter(|unit| {
-                hbsan::check_adversarial(unit, &hbsan::Config::default(), &SEEDS)
-                    .map(|r| r.has_race())
-                    .unwrap_or(false)
-            })
-            .count()
-    });
-    let (races_par, epoch_parallel) = time(&|| {
-        par::par_map(&units, par::default_workers(), |unit| {
-            hbsan::check_adversarial(unit, &hbsan::Config::default(), &SEEDS)
-                .map(|r| r.has_race())
-                .unwrap_or(false)
-        })
-        .into_iter()
-        .filter(|v| *v)
-        .count()
-    });
     // Lower each kernel once, outside the timed region: production
     // callers cache the lowered program on the analysis artifact, so
     // detection latency sees only bytecode execution.
     let progs: Vec<hbsan::Program> = units.iter().map(hbsan::lower).collect();
-    let (races_bc, bytecode) = time(&|| {
+    let sweep = || {
         units
             .iter()
             .zip(&progs)
@@ -197,29 +203,28 @@ fn write_bench_json(path: &str) {
                 .unwrap_or(false)
             })
             .count()
-    });
-    assert_eq!(races_serial, races_par, "worker count changed verdicts");
-    assert_eq!(races_serial, races_bc, "bytecode executor changed verdicts");
+    };
 
-    let out = serde_json::json!({
-        "bench": "dynamic_oracle_corpus_sweep",
-        "kernels": units.len(),
-        "seeds": SEEDS.to_vec(),
-        "workers": par::default_workers(),
-        "racy_kernels": races_serial,
-        "seconds": serde_json::json!({
-            "epoch_serial": epoch_serial,
-            "epoch_parallel": epoch_parallel,
-            "bytecode": bytecode,
+    // One warmup pass, then best-of-3 to damp scheduler noise.
+    let racy_kernels = sweep();
+    let mut bytecode = f64::MAX;
+    for _ in 0..3 {
+        let t = Instant::now();
+        assert_eq!(sweep(), racy_kernels, "race count must not vary across passes");
+        bytecode = bytecode.min(t.elapsed().as_secs_f64());
+    }
+
+    write_bench_file(
+        path,
+        serde_json::json!({
+            "bench": "dynamic_oracle_corpus_sweep",
+            "kernels": units.len(),
+            "seeds": SEEDS.to_vec(),
+            "workers": 1,
+            "racy_kernels": racy_kernels,
+            "seconds": serde_json::json!({ "bytecode": bytecode }),
         }),
-        "speedup": serde_json::json!({
-            "bytecode_vs_epoch_serial": (epoch_serial / bytecode),
-        }),
-    });
-    let pretty = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write(path, &pretty).expect("write bench json");
-    println!("{pretty}");
-    println!("wrote {path}");
+    );
 }
 
 /// Time a full Table 4 + Table 6 cross-validation run through two
@@ -269,10 +274,7 @@ fn write_bench_finetune_json(path: &str) {
             "fast_parallel": fast_parallel,
         }),
     });
-    let pretty = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write(path, &pretty).expect("write bench json");
-    println!("{pretty}");
-    println!("wrote {path}");
+    write_bench_file(path, out);
 }
 
 /// Time the corpus-wide repair sweep (detect → candidate → certify →
@@ -325,10 +327,7 @@ fn write_bench_repair_json(path: &str) {
             "parallel_vs_serial": (serial / parallel),
         }),
     });
-    let pretty = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write(path, &pretty).expect("write bench json");
-    println!("{pretty}");
-    println!("wrote {path}");
+    write_bench_file(path, out);
 }
 
 const USAGE: &str = "\

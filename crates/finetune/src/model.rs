@@ -152,23 +152,41 @@ impl LoraHead {
         &self.ab[self.rank * self.dim()..]
     }
 
-    /// Raw logit for an input.
+    /// Raw logit for an input: the forward pass over `x`'s nonzero
+    /// entries (see [`LoraHead::forward`]). Equal to the dense sums
+    /// `b_base + Σ w_j·x_j + Σ_r scale·B_r·(A_r·x)`, each in index order,
+    /// except that a zero logit may carry the other sign, which
+    /// [`sigmoid`] does not see.
     pub fn logit(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.dim());
-        let mut z = self.b_base;
-        for (w, xi) in self.w_base.iter().zip(x) {
-            z += w * xi;
-        }
-        // Adapter path: B (A x) * alpha / r.
+        let mut ax = vec![0.0; self.rank];
+        let nonzero = x.iter().enumerate().filter(|&(_, &xj)| xj != 0.0);
+        self.forward(nonzero.map(|(j, &xj)| (j, xj)), &mut ax)
+    }
+
+    /// The one forward pass of training and inference: the logit of the
+    /// input whose nonzero entries `(j, x_j)` arrive in ascending `j`,
+    /// leaving the adapter activations `A·x` in `ax` (one per rank).
+    ///
+    /// The base-head logit and every row of `A·x` are their own add
+    /// chains in index order, fed in one pass over the entries. Skipping
+    /// exact-zero terms cannot move a nonzero sum, and a row that sums
+    /// to zero is `+0` either way (it starts at `+0`, and `+0 + ±0 =
+    /// +0`), so the activations are bit-identical to dense sums.
+    fn forward(&self, nonzero: impl Iterator<Item = (usize, f64)>, ax: &mut [f64]) -> f64 {
+        let dim = self.dim();
         let scale = self.alpha / self.rank.max(1) as f64;
-        let (a, b) = self.ab.split_at(self.rank * self.dim());
-        for r in 0..self.rank {
-            let mut ax = 0.0;
-            let row = &a[r * self.dim()..(r + 1) * self.dim()];
-            for (a, xi) in row.iter().zip(x) {
-                ax += a * xi;
+        let (a, b) = self.ab.split_at(self.rank * dim);
+        ax.fill(0.0);
+        let mut z = self.b_base;
+        for (j, xj) in nonzero {
+            z += self.w_base[j] * xj;
+            for (acc, &arj) in ax.iter_mut().zip(a[j..].iter().step_by(dim)) {
+                *acc += arj * xj;
             }
-            z += scale * b[r] * ax;
+        }
+        for (&b, &ax) in b.iter().zip(ax.iter()) {
+            z += scale * b * ax;
         }
         z
     }
@@ -176,6 +194,27 @@ impl LoraHead {
     /// Probability of the positive class.
     pub fn prob(&self, x: &[f64]) -> f64 {
         sigmoid(self.logit(x))
+    }
+
+    /// The dense reference of [`LoraHead::forward`], written out apart
+    /// from it so the differential tests check the sparse pass against
+    /// independent code: the logit and the activations `A·x`, every add
+    /// chain over all `dim` terms in index order.
+    pub(crate) fn dense_forward(&self, x: &[f64]) -> (f64, Vec<f64>) {
+        let dim = self.dim();
+        let (a, b) = self.ab.split_at(self.rank * dim);
+        let scale = self.alpha / self.rank.max(1) as f64;
+        let ax: Vec<f64> = (0..self.rank)
+            .map(|r| a[r * dim..(r + 1) * dim].iter().zip(x).fold(0.0, |acc, (a, xi)| acc + a * xi))
+            .collect();
+        let mut z = self.b_base;
+        for (w, xi) in self.w_base.iter().zip(x) {
+            z += w * xi;
+        }
+        for (&b, &ax) in b.iter().zip(&ax) {
+            z += scale * b * ax;
+        }
+        (z, ax)
     }
 
     /// Adapter gradients for one example (cross-entropy loss) without
@@ -186,18 +225,13 @@ impl LoraHead {
     /// [`Adam::step_fast`](crate::adam::Adam::step_fast) would.
     pub fn grads(&self, x: &[f64], y: f64, dropout_mask: &[bool]) -> (Vec<f64>, Vec<f64>, f64) {
         let dim = self.dim();
-        let (a, b) = self.ab.split_at(self.rank * dim);
+        let b = self.b();
         let xd: Vec<f64> =
             x.iter().zip(dropout_mask).map(|(v, keep)| if *keep { *v } else { 0.0 }).collect();
-        let p = self.prob(&xd);
+        let (z, ax) = self.dense_forward(&xd);
+        let p = sigmoid(z);
         let err = p - y; // dL/dz for cross-entropy + sigmoid
         let scale = self.alpha / self.rank.max(1) as f64;
-        let ax: Vec<f64> = (0..self.rank)
-            .map(|r| {
-                let row = &a[r * dim..(r + 1) * dim];
-                row.iter().zip(&xd).map(|(a, xi)| a * xi).sum()
-            })
-            .collect();
         // dz/dB_r = scale·(A x)_r ; dz/dA_rj = scale·B_r·x_j
         let mut ga = vec![0.0; self.rank * dim];
         let mut gb = vec![0.0; self.rank];
@@ -229,47 +263,29 @@ impl LoraHead {
     }
 
     /// Allocation-free fused training step on the example loaded into
-    /// `scratch` (see [`TrainScratch::load`]): a forward pass over the
-    /// kept nonzero inputs, then one
+    /// `scratch` (see [`TrainScratch::load`]): [`LoraHead::forward`]
+    /// over the kept nonzero inputs, then one
     /// [`Adam::step_fast_outer`](crate::adam::Adam::step_fast_outer) over
     /// the whole contiguous parameter buffer that forms
     /// `grad_A[r][j] = c[r]·xd[j]` inline.
     ///
     /// The parameters end bit-identical to [`LoraHead::grads`] followed by
-    /// `Adam::step_fast`. The base-head logit and every row of `A·x` sum
-    /// in index order and skip only exact-zero terms, which cannot move a
-    /// nonzero sum. Only the sign of a zero can differ (a zero sum, or a
-    /// `-0.0` input that `xd` holds as `+0`), and neither `sigmoid` nor
-    /// Adam sees it: the moments start at `+0`, and `+0 + ±0 = +0`. The
-    /// row factors `c[r] = err·scale·B_r` come from the pre-step `B` and
-    /// keep the reference's left-associated multiply order. The (unused)
-    /// loss is not computed.
+    /// `Adam::step_fast`. The forward skips only exact-zero terms, so
+    /// only the sign of a zero logit can differ (a `-0.0` input that `xd`
+    /// holds as `+0`, or a zero sum), and neither `sigmoid` nor Adam sees
+    /// it: the moments start at `+0`, and `+0 + ±0 = +0`. The row factors
+    /// `c[r] = err·scale·B_r` come from the pre-step `B` and keep the
+    /// reference's left-associated multiply order. The (unused) loss is
+    /// not computed.
     pub fn adam_step_scratch(&mut self, y: f64, opt: &mut crate::adam::Adam, scratch: &mut TrainScratch) {
-        let dim = self.dim();
-        debug_assert_eq!(scratch.xd.len(), dim);
+        debug_assert_eq!(scratch.xd.len(), self.dim());
         let scale = self.alpha / self.rank.max(1) as f64;
-        let (a, b) = self.ab.split_at(self.rank * dim);
         let TrainScratch { kept, xd, ax, c } = scratch;
-
-        // One pass over the kept inputs feeds the base-head logit and all
-        // `rank` activations, each its own add chain in index order.
-        ax.fill(0.0);
-        let mut z = self.b_base;
-        for &j in kept.iter() {
-            let j = j as usize;
-            let xj = xd[j];
-            z += self.w_base[j] * xj;
-            for (acc, &arj) in ax.iter_mut().zip(a[j..].iter().step_by(dim)) {
-                *acc += arj * xj;
-            }
-        }
-        for (&b, &ax) in b.iter().zip(ax.iter()) {
-            z += scale * b * ax;
-        }
+        let z = self.forward(kept.iter().map(|&j| (j as usize, xd[j as usize])), ax);
 
         // dL/dz for cross-entropy + sigmoid, times the LoRA scale.
         let es = (sigmoid(z) - y) * scale;
-        for ((c, gb), &b) in c.iter_mut().zip(ax.iter_mut()).zip(b) {
+        for ((c, gb), &b) in c.iter_mut().zip(ax.iter_mut()).zip(self.b()) {
             *c = es * b;
             *gb *= es;
         }
@@ -468,6 +484,9 @@ mod tests {
                     head.adam_step_scratch(y, &mut opt, &mut scratch);
                     let at = format!("rank {rank}, dropout {dropout}, step {step}");
                     assert_eq!(bits(&head.ab), bits(&ref_head.ab), "{at}");
+                    // Inference runs the same sparse forward: equal to the
+                    // dense logit, up to the sign of a zero (`==`).
+                    assert!(head.logit(&x) == head.dense_forward(&x).0, "{at}: logit");
                     assert_eq!(rng.clone().next_u64(), ref_rng.next_u64(), "{at}: RNG advanced differently");
                 }
             }

@@ -268,6 +268,28 @@ mod tests {
     }
 
     #[test]
+    fn sparse_inference_matches_the_dense_sum_on_every_cv_head() {
+        // The CV setup of Tables 4 and 6: the DRB-ML subset, both
+        // fine-tuned models, five folds at the tables' fold seed.
+        let vs = drb_ml::Dataset::generate().subset_views();
+        let folds = crate::folds_for(&vs, 5, 20230915);
+        let mut heads = 0;
+        for m in [ModelKind::StarChatBeta, ModelKind::Llama2_7b] {
+            let s = Surrogate::new(m, &vs);
+            for fold in &folds {
+                let ft = FineTuned::train_on(&s, &vs, &fold.train, &TrainConfig::for_model(m));
+                for k in &vs {
+                    let x = crate::ngram::feature_vector_of(k);
+                    let (sparse, dense) = (ft.head().logit(x), ft.head().dense_forward(x).0);
+                    assert_eq!(sparse.to_bits(), dense.to_bits(), "{m:?} kernel {}", k.id);
+                }
+                heads += 1;
+            }
+        }
+        assert_eq!(heads, 10);
+    }
+
+    #[test]
     fn low_trust_stays_near_base() {
         let ks = views(30);
         let s = Surrogate::new(ModelKind::Llama2_7b, &ks);

@@ -449,7 +449,7 @@ impl<'a> ChatSession<'a> {
     /// paper sidesteps this with the 4k-token dataset filter (§3.2), but
     /// the models themselves would clip.
     pub fn send(&mut self, prompt: &str) -> String {
-        if crate::tokenizer::count_tokens(prompt) > self.surrogate.profile.context_window {
+        if !crate::tokenizer::within_tokens(prompt, self.surrogate.profile.context_window) {
             return format!(
                 "I'm sorry, the provided input is too long for my context window of {} tokens.",
                 self.surrogate.profile.context_window
@@ -625,5 +625,30 @@ mod context_tests {
         // A normal prompt still works.
         let ok = chat.send("short prompt");
         assert!(ok.to_lowercase().starts_with("yes") || ok.to_lowercase().starts_with("no"));
+    }
+
+    #[test]
+    fn the_window_counts_tokens_not_bytes() {
+        let ks = vec![KernelView::new(1, "int main(void) { return 0; }", false, vec![], 0.5)];
+        let s = Surrogate::new(ModelKind::Llama2_7b, &ks); // 4k window
+        let answer = s.answer_detection(&ks[0], PromptStrategy::P1);
+        let mut chat = ChatSession::new(&s, &ks[0], PromptStrategy::P1);
+        // 4-byte word pieces: 5 bytes per token, so 20,480 bytes that are
+        // exactly 4,096 tokens still fit the window.
+        let at_window = "abcd ".repeat(4096);
+        assert!(at_window.len() > 4096);
+        assert_eq!(crate::tokenizer::count_tokens(&at_window), 4096);
+        assert_eq!(chat.send(&at_window), answer);
+        // One token more is refused, with the exact refusal text.
+        let over = "abcd ".repeat(4097);
+        assert_eq!(
+            chat.send(&over),
+            "I'm sorry, the provided input is too long for my context window of 4096 tokens."
+        );
+        // One token per byte: 4,097 bytes are one token too many.
+        let tight = ";".repeat(4097);
+        assert_eq!(crate::tokenizer::count_tokens(&tight), 4097);
+        assert!(chat.send(&tight).starts_with("I'm sorry"));
+        assert_eq!(chat.send(&tight[1..]), answer);
     }
 }

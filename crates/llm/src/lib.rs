@@ -32,4 +32,6 @@ pub use features::{feature_verdict, CodeFeatures};
 pub use generate::{ChatSession, KernelView, PairView, Surrogate};
 pub use modalities::{render as render_modality, Modality};
 pub use profile::{ModelKind, ModelProfile, PromptStrategy};
-pub use tokenizer::{count_tokens, fits_prompt_budget, tokenize, Token, PROMPT_TOKEN_LIMIT};
+pub use tokenizer::{
+    count_tokens, fits_prompt_budget, tokenize, within_tokens, Token, PROMPT_TOKEN_LIMIT,
+};

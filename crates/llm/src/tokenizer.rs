@@ -60,6 +60,12 @@ fn is_word_byte(b: u8) -> bool {
 /// * Two-character operators are one token; other ASCII punctuation is
 ///   one token per byte.
 /// * Each non-ASCII character is one token.
+///
+/// No token is longer in count than in bytes: a newline is 1 byte, a word
+/// piece at least 1, an operator 1–2, a non-ASCII character 2–4, and
+/// whitespace folds away. So a scan never emits more tokens than `src`
+/// has bytes, which is what lets [`within_tokens`] answer short inputs
+/// without scanning.
 pub(crate) fn scan<'a>(src: &'a str, mut emit: impl FnMut(&'a str)) {
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -128,12 +134,22 @@ pub fn count_tokens(src: &str) -> usize {
     n
 }
 
+/// Is `count_tokens(src) <= max`? Exact, and answered from `src.len()`
+/// alone whenever `src` has at most `max` bytes, since [`scan`] never
+/// emits more tokens than bytes; only longer inputs are scanned. Every
+/// token-budget decision (a chat's context window, the 4k filter) goes
+/// through here.
+pub fn within_tokens(src: &str, max: usize) -> bool {
+    src.len() <= max || count_tokens(src) <= max
+}
+
 /// The context budget used by the paper's filter.
 pub const PROMPT_TOKEN_LIMIT: usize = 4096;
 
-/// Does a code snippet fit the 4k prompt budget?
+/// Does a code snippet fit the 4k prompt budget (fewer than
+/// [`PROMPT_TOKEN_LIMIT`] tokens)?
 pub fn fits_prompt_budget(src: &str) -> bool {
-    count_tokens(src) < PROMPT_TOKEN_LIMIT
+    within_tokens(src, PROMPT_TOKEN_LIMIT - 1)
 }
 
 #[cfg(test)]
@@ -186,6 +202,25 @@ int main(void) {
         let n = count_tokens(src);
         assert!(n > 20 && n < 200, "{n}");
         assert!(fits_prompt_budget(src));
+    }
+
+    #[test]
+    fn within_tokens_is_exact_at_the_boundary() {
+        // 9 bytes, 3 tokens: every budget from 3 up fits.
+        let src = "abcd\nefgh";
+        assert_eq!(count_tokens(src), 3);
+        for max in 0..12 {
+            assert_eq!(within_tokens(src, max), count_tokens(src) <= max, "max {max}");
+        }
+        // One token per byte: the length shortcut is exactly tight.
+        for max in 0..6 {
+            assert_eq!(within_tokens(";;;;", max), max >= 4, "max {max}");
+        }
+        assert!(within_tokens("", 0));
+        let exact = "x ".repeat(PROMPT_TOKEN_LIMIT);
+        assert_eq!(count_tokens(&exact), PROMPT_TOKEN_LIMIT);
+        assert!(!fits_prompt_budget(&exact));
+        assert!(fits_prompt_budget(&exact[2..]));
     }
 
     #[test]

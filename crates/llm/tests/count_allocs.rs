@@ -1,8 +1,9 @@
-//! `count_tokens` runs on every chat turn (`ChatSession::send` checks
-//! each prompt against the model's context window) and must not touch
-//! the heap. A counting global allocator, armed only on the thread that
-//! counts, proves it; this file is its own test binary so the
-//! allocator sees no other test.
+//! The token-budget checks (`within_tokens`, behind every chat turn's
+//! context-window check and the 4k filter) and `count_tokens`, which
+//! they fall back on for long inputs, must not touch the heap. A
+//! counting global allocator, armed only on the thread that counts,
+//! proves it; this file is its own test binary so the allocator sees no
+//! other test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,5 +69,11 @@ fn count_tokens_makes_no_heap_allocation() {
         assert_eq!(n, 0, "count_tokens allocated {n} times on {} bytes", src.len());
         assert_eq!(count, llm::tokenize(src).len());
         assert_eq!(allocations(|| llm::fits_prompt_budget(src)).0, 0);
+        // Both the length shortcut and the scanning fallback.
+        for max in [0, count, src.len()] {
+            let (n, within) = allocations(|| llm::within_tokens(src, max));
+            assert_eq!(n, 0, "within_tokens allocated {n} times on {} bytes", src.len());
+            assert_eq!(within, count <= max);
+        }
     }
 }

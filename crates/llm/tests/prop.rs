@@ -55,8 +55,48 @@ fn arb_text(max: usize) -> impl Strategy<Value = String> {
     })
 }
 
+/// Text built from the tokenizer's hard cases: C-ish ASCII, runs of
+/// whitespace and newlines, two-character operators, words longer than
+/// a 4-byte piece, and arbitrary Unicode scalar values; or text of
+/// one-byte tokens only, where `count_tokens(s) == s.len()`.
+fn arb_token_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        arb_text(8),
+        proptest::collection::vec(
+            prop_oneof![Just(' '), Just('\t'), Just('\r'), Just('\n'), Just('\x0c')],
+            1..=12,
+        )
+        .prop_map(|ws| ws.into_iter().collect()),
+        prop_oneof![
+            Just("=="), Just("!="), Just("<="), Just(">="), Just("&&"), Just("||"),
+            Just("+="), Just("-="), Just("*="), Just("/="), Just("%="), Just("++"),
+            Just("--"), Just("<<"), Just(">>"), Just("->"),
+        ]
+        .prop_map(str::to_string),
+        "[A-Za-z0-9_]{5,24}",
+        any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}').to_string()),
+    ];
+    prop_oneof![
+        proptest::collection::vec(piece, 0..40).prop_map(|ps| ps.concat()),
+        "[;,#.:]{0,40}",
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn no_more_tokens_than_bytes_and_within_is_exact(
+        s in arb_token_text(),
+        around_len in any::<bool>(),
+        delta in -3i64..=3,
+    ) {
+        let n = llm::count_tokens(&s);
+        prop_assert!(n <= s.len(), "{} tokens in {} bytes", n, s.len());
+        let anchor = if around_len { s.len() } else { n } as i64;
+        let max = (anchor + delta).max(0) as usize;
+        prop_assert_eq!(llm::within_tokens(&s, max), n <= max);
+    }
 
     #[test]
     fn tokenizer_preserves_non_whitespace(s in arb_text(300)) {

@@ -148,6 +148,8 @@ pub struct Metrics {
     /// computations only — a cache hit replays the body without
     /// re-certifying).
     pub fix_certified_total: Counter,
+    /// Jobs whose computation panicked (each answered with a 500).
+    pub job_panics_total: Counter,
     /// Queue depth after the most recent push/pop.
     pub queue_depth: Gauge,
     /// Time from admission to a worker's pop, once per popped job,
@@ -177,6 +179,7 @@ impl Metrics {
             worker_expired_total: Counter::default(),
             fix_requests_total: Counter::default(),
             fix_certified_total: Counter::default(),
+            job_panics_total: Counter::default(),
             queue_depth: Gauge::default(),
             queue_wait_seconds: Histogram::new(&LATENCY_BOUNDS),
             request_seconds: Histogram::new(&LATENCY_BOUNDS),
@@ -231,6 +234,7 @@ impl Metrics {
             ("racellm_worker_expired_total", &self.worker_expired_total),
             ("racellm_fix_requests_total", &self.fix_requests_total),
             ("racellm_fix_certified_total", &self.fix_certified_total),
+            ("racellm_job_panics_total", &self.job_panics_total),
         ] {
             let _ = writeln!(w, "# TYPE {name} counter\n{name} {}", c.get());
         }
@@ -290,6 +294,7 @@ mod tests {
         assert!(text.contains("racellm_http_requests_total{route=\"other\",status=\"404\"} 1"));
         assert!(text.contains("racellm_fix_requests_total 0"));
         assert!(text.contains("racellm_fix_certified_total 0"));
+        assert!(text.contains("racellm_job_panics_total 0"));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! (504 on expiry). A fixed pool of long-lived workers pops one job at
 //! a time, runs it to completion on its own thread, inserts the result
 //! into the cache, and replies at once. With one worker per usable CPU
-//! (the default), each worker is pinned to its own CPU.
+//! (the default), each worker is pinned to its own CPU. A job that
+//! panics is contained to that job: its request gets a 500 that is not
+//! cached, `racellm_job_panics_total` counts it, and the worker goes on.
 //!
 //! Shutdown is a drain, not an abort: the acceptor is woken by one
 //! loopback connection and stops, handlers answer what they have read
@@ -28,6 +30,7 @@ use crate::{affinity, analyze, fixer, http, ServeConfig};
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,7 +67,21 @@ struct Job {
 
 enum Reply {
     Body(Arc<str>),
+    /// The job's computation panicked.
+    Panicked,
     Expired,
+}
+
+/// A job's computation: the response body, and whether it certified a
+/// patch.
+type Compute = fn(JobKind, &str) -> (String, bool);
+
+/// The service's computation: the `/v1/analyze` or `/v1/fix` body.
+fn compute(kind: JobKind, code: &str) -> (String, bool) {
+    match kind {
+        JobKind::Analyze => (analyze::response_body(code), false),
+        JobKind::Fix => fixer::fix_body_traced(code),
+    }
 }
 
 /// Counts live connection handlers so drain can wait for them.
@@ -111,7 +128,8 @@ struct Shared {
 /// What the drain saw on the way out.
 #[derive(Debug, Clone, Copy)]
 pub struct DrainReport {
-    /// Jobs the worker pool analyzed over the server's lifetime.
+    /// Jobs the worker pool ran over the server's lifetime (those that
+    /// panicked included).
     pub jobs_processed: usize,
     /// Jobs still queued after the workers exited (always 0 on a clean
     /// drain).
@@ -178,6 +196,11 @@ impl ServerHandle {
 
 /// Bind and start the full service.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
+    start_with(cfg, compute)
+}
+
+/// [`start`], with the workers running `compute` for each job.
+fn start_with(cfg: ServeConfig, compute: Compute) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
@@ -202,7 +225,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 if let Some(cpu) = cpu {
                     affinity::pin(cpu);
                 }
-                worker_loop(&s)
+                worker_loop(&s, compute)
             })
         })
         .collect();
@@ -403,6 +426,10 @@ fn settle(shared: &Shared, w: &mut TcpStream, o: Owed) -> bool {
         OwedBody::Queued { rx, deadline } => {
             match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(Reply::Body(body)) => (200, JSON, Vec::new(), body),
+                Ok(Reply::Panicked) => {
+                    let body = http::error_body("internal error: job panicked");
+                    (500, JSON, Vec::new(), body.into())
+                }
                 Ok(Reply::Expired) | Err(RecvTimeoutError::Timeout) => {
                     shared.metrics.deadline_expired_total.inc();
                     (504, JSON, Vec::new(), http::error_body("deadline exceeded").into())
@@ -495,7 +522,7 @@ fn handle_submit(shared: &Arc<Shared>, req: &http::Request, keep: bool, kind: Jo
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) -> usize {
+fn worker_loop(shared: &Arc<Shared>, compute: Compute) -> usize {
     let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
     let mut processed = 0usize;
 
@@ -508,19 +535,34 @@ fn worker_loop(shared: &Arc<Shared>) -> usize {
             continue;
         }
 
-        let (body, certified) = match job.kind {
-            JobKind::Analyze => (analyze::response_body(&job.code), false),
-            JobKind::Fix => fixer::fix_body_traced(&job.code),
+        processed += 1;
+        let Some((body, certified)) =
+            isolate(&shared.metrics, || compute(job.kind, &job.code))
+        else {
+            let _ = job.reply.try_send(Reply::Panicked);
+            continue;
         };
         if certified {
             shared.metrics.fix_certified_total.inc();
         }
         let body: Arc<str> = Arc::from(body);
         shared.cache.insert(&job.kind.cache_key(&job.code), Arc::clone(&body));
-        processed += 1;
         let _ = job.reply.try_send(Reply::Body(body));
     }
     processed
+}
+
+/// Run one job's computation with a panic contained to the job: the
+/// calling worker survives, `racellm_job_panics_total` counts the panic,
+/// and the job gets `None` (its request a 500, which is never cached).
+fn isolate<T>(metrics: &Metrics, job: impl FnOnce() -> T) -> Option<T> {
+    match panic::catch_unwind(AssertUnwindSafe(job)) {
+        Ok(out) => Some(out),
+        Err(_) => {
+            metrics.job_panics_total.inc();
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -622,6 +664,40 @@ mod tests {
 
         let report = h.shutdown();
         assert_eq!(report.jobs_leftover, 0);
+        assert_eq!(report.jobs_processed, 3);
+    }
+
+    #[test]
+    fn a_panicking_job_gets_a_500_and_the_worker_serves_on() {
+        // One worker, so the job after the panics runs on the same thread.
+        let cfg = ServeConfig { workers: 1, ..test_cfg() };
+        let h = start_with(cfg, |kind, code| {
+            assert!(!code.contains("boom"), "injected job panic");
+            compute(kind, code)
+        })
+        .expect("bind");
+        let mut c = Client::connect(h.addr(), Duration::from_secs(5)).unwrap();
+        let mut post = |code: &str| {
+            let body = serde_json::to_string(&crate::analyze::AnalyzeRequest {
+                code: code.to_string(),
+            })
+            .unwrap();
+            let (status, got) = c.request("POST", "/v1/analyze", &[], body.as_bytes()).unwrap();
+            (status, String::from_utf8(got).unwrap())
+        };
+        let failed = (500, http::error_body("internal error: job panicked"));
+        // The 500 is not cached: the same request panics again.
+        assert_eq!(post("int boom; int main() { return 0; }"), failed);
+        assert_eq!(post("int boom; int main() { return 0; }"), failed);
+        assert_eq!(h.metrics().job_panics_total.get(), 2);
+        assert_eq!(h.cache().stats().insertions, 0);
+        let text = h.render_metrics();
+        assert_eq!(crate::metrics::scrape_value(&text, "racellm_job_panics_total"), Some(2.0));
+        assert!(text.contains("racellm_http_requests_total{route=\"analyze\",status=\"500\"} 2"));
+
+        let ok = "int x; int main() { x = 1; return x; }";
+        assert_eq!(post(ok), (200, crate::analyze::response_body(ok)));
+        let report = h.shutdown();
         assert_eq!(report.jobs_processed, 3);
     }
 
