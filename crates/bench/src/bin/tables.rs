@@ -298,8 +298,8 @@ fn write_bench_repair_json(path: &str) {
         (summary, best)
     };
 
-    let (rows_serial, serial) = time(&|| repair::sweep_corpus_with_workers(1));
-    let (rows_parallel, parallel) = time(&|| repair::sweep_corpus_with_workers(workers));
+    let (rows_serial, serial) = time(&|| racellm::sweep_corpus(1));
+    let (rows_parallel, parallel) = time(&|| racellm::sweep_corpus(workers));
     assert_eq!(rows_serial, rows_parallel, "worker count changed a sweep row");
 
     let fixed_rows: Vec<_> =

@@ -14,229 +14,14 @@
 //!   trimmed code (which labels refer to) is untouched.
 
 use crate::spec::{Kernel, VarPair};
-use minic::ast::*;
-use minic::pragma::{Clause, DirectiveKind};
+use minic::ast::Item;
+use minic::visit::{collect_names, rename_unit};
 use std::collections::HashMap;
 
 // Deterministic mixer for augmentation choices — the shared
 // implementation is stream-identical to the inline one it replaced, so
 // augmented corpora regenerate byte-for-byte.
 use par::rng::mix;
-
-/// Names that must never be renamed.
-fn is_reserved(name: &str) -> bool {
-    name.starts_with("omp_")
-        || matches!(name, "main" | "printf" | "malloc" | "calloc" | "free" | "argc" | "argv")
-}
-
-/// Collect every renameable variable in declaration order.
-///
-/// Public so other mutation subsystems (the `xcheck` differential
-/// harness) can reuse the exact rename machinery the augmenter is
-/// validated with; reserved names (`main`, `omp_*`, libc) are skipped.
-pub fn collect_names(unit: &TranslationUnit) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut push = |n: &str| {
-        if !is_reserved(n) && !names.iter().any(|x| x == n) {
-            names.push(n.to_string());
-        }
-    };
-    fn stmt(s: &Stmt, push: &mut dyn FnMut(&str)) {
-        match s {
-            Stmt::Decl(d) => {
-                for v in &d.vars {
-                    push(&v.name);
-                }
-            }
-            Stmt::Block(b) => b.stmts.iter().for_each(|s| stmt(s, push)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, push);
-                if let Some(e) = els {
-                    stmt(e, push);
-                }
-            }
-            Stmt::For(f) => {
-                if let ForInit::Decl(d) = &f.init {
-                    for v in &d.vars {
-                        push(&v.name);
-                    }
-                }
-                stmt(&f.body, push);
-            }
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, push),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, push),
-            _ => {}
-        }
-    }
-    for item in &unit.items {
-        match item {
-            Item::Global(d) => {
-                for v in &d.vars {
-                    push(&v.name);
-                }
-            }
-            Item::Func(f) => {
-                for p in &f.params {
-                    push(&p.name);
-                }
-                f.body.stmts.iter().for_each(|s| stmt(s, &mut push));
-            }
-            Item::Pragma(_) => {}
-        }
-    }
-    names
-}
-
-/// Apply a rename map everywhere a variable name can occur: idents,
-/// declarators, clause variable lists, `threadprivate`/`flush` lists.
-pub fn rename_unit(unit: &mut TranslationUnit, map: &HashMap<String, String>) {
-    let ren = |n: &mut String| {
-        if let Some(new) = map.get(n.as_str()) {
-            *n = new.clone();
-        }
-    };
-    fn expr(e: &mut Expr, map: &HashMap<String, String>) {
-        match e {
-            Expr::Ident { name, .. } => {
-                if let Some(n) = map.get(name.as_str()) {
-                    *name = n.clone();
-                }
-            }
-            Expr::Index { base, index, .. } => {
-                expr(base, map);
-                expr(index, map);
-            }
-            Expr::Call { args, .. } => args.iter_mut().for_each(|a| expr(a, map)),
-            Expr::Unary { expr: x, .. } | Expr::Cast { expr: x, .. } | Expr::IncDec { expr: x, .. } => {
-                expr(x, map)
-            }
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                expr(lhs, map);
-                expr(rhs, map);
-            }
-            Expr::Cond { cond, then, els, .. } => {
-                expr(cond, map);
-                expr(then, map);
-                expr(els, map);
-            }
-            _ => {}
-        }
-    }
-    fn decl(d: &mut Decl, map: &HashMap<String, String>) {
-        for v in &mut d.vars {
-            if let Some(n) = map.get(v.name.as_str()) {
-                v.name = n.clone();
-            }
-            for dim in v.ty.dims.iter_mut().flatten() {
-                expr(dim, map);
-            }
-            match &mut v.init {
-                Some(Init::Expr(e)) => expr(e, map),
-                Some(Init::List(es)) => es.iter_mut().for_each(|e| expr(e, map)),
-                None => {}
-            }
-        }
-    }
-    fn clause_names(c: &mut Clause, map: &HashMap<String, String>) {
-        let lists: &mut Vec<String> = match c {
-            Clause::Private(v)
-            | Clause::Firstprivate(v)
-            | Clause::Lastprivate(v)
-            | Clause::Shared(v)
-            | Clause::Linear(v) => v,
-            Clause::Reduction(_, v) => v,
-            Clause::Depend(_, v) => v,
-            Clause::Schedule(_, Some(e)) => {
-                expr(e, map);
-                return;
-            }
-            Clause::NumThreads(e) | Clause::If(e) => {
-                expr(e, map);
-                return;
-            }
-            _ => return,
-        };
-        for n in lists {
-            if let Some(new) = map.get(n.as_str()) {
-                *n = new.clone();
-            }
-        }
-    }
-    fn stmt(s: &mut Stmt, map: &HashMap<String, String>) {
-        match s {
-            Stmt::Decl(d) => decl(d, map),
-            Stmt::Expr(e) => expr(e, map),
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, map)),
-            Stmt::If { cond, then, els, .. } => {
-                expr(cond, map);
-                stmt(then, map);
-                if let Some(e) = els {
-                    stmt(e, map);
-                }
-            }
-            Stmt::For(f) => {
-                match &mut f.init {
-                    ForInit::Decl(d) => decl(d, map),
-                    ForInit::Expr(e) => expr(e, map),
-                    ForInit::Empty => {}
-                }
-                if let Some(c) = &mut f.cond {
-                    expr(c, map);
-                }
-                if let Some(st) = &mut f.step {
-                    expr(st, map);
-                }
-                stmt(&mut f.body, map);
-            }
-            Stmt::While { cond, body, .. } => {
-                expr(cond, map);
-                stmt(body, map);
-            }
-            Stmt::DoWhile { body, cond, .. } => {
-                stmt(body, map);
-                expr(cond, map);
-            }
-            Stmt::Return(Some(e), _) => expr(e, map),
-            Stmt::Omp { dir, body, .. } => {
-                for c in &mut dir.clauses {
-                    clause_names(c, map);
-                }
-                if let DirectiveKind::Threadprivate(vs) | DirectiveKind::Flush(vs) = &mut dir.kind
-                {
-                    for n in vs {
-                        if let Some(new) = map.get(n.as_str()) {
-                            *n = new.clone();
-                        }
-                    }
-                }
-                if let Some(b) = body {
-                    stmt(b, map);
-                }
-            }
-            _ => {}
-        }
-    }
-    for item in &mut unit.items {
-        match item {
-            Item::Global(d) => decl(d, map),
-            Item::Func(f) => {
-                for p in &mut f.params {
-                    ren(&mut p.name);
-                }
-                f.body.stmts.iter_mut().for_each(|s| stmt(s, map));
-            }
-            Item::Pragma(d) => {
-                if let DirectiveKind::Threadprivate(vs) = &mut d.kind {
-                    for n in vs {
-                        if let Some(new) = map.get(n.as_str()) {
-                            *n = new.clone();
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Remap the kernel's racy pairs onto a structurally-identical mutant by
 /// access-index correspondence.

@@ -27,6 +27,6 @@ pub mod spec;
 #[allow(clippy::vec_init_then_push)]
 pub mod templates;
 
-pub use augment::{augment, collect_names, mutate, rename_unit, Mutation};
+pub use augment::{augment, mutate, Mutation};
 pub use corpus::{build, corpus, CORPUS_SIZE, NO_COUNT, YES_COUNT};
 pub use spec::{Builder, Category, Kernel, Op, PairSpec, SideSpec, ToolBehavior, VarPair};

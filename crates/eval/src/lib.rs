@@ -17,7 +17,7 @@ pub mod tables;
 pub mod varid;
 
 pub use detection::{run_baseline, run_detection, run_detection_cells, surrogates, Exchange};
-pub use metrics::{Agreement, Confusion};
+pub use metrics::Confusion;
 pub use parse::{parse_pairs, parse_verdict, ParsedPair, Verdict};
 pub use stats::{compare_classifiers, mcnemar_exact, PairedOutcomes};
 pub use tables::{

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! racellm-cli analyze <file.c>            run every detector on a C/OpenMP file
+//!                                         (exit 1: a detector saw a race, 2: unparseable)
 //! racellm-cli modality <file.c> <kind>    print source|ast|depgraph|cfg
 //! racellm-cli dataset <out_dir>           export the DRB-ML JSON dataset
 //! racellm-cli corpus                      list the 201 corpus kernels
@@ -20,6 +21,14 @@ fn usage() -> ! {
         "usage:\n  racellm-cli analyze <file.c>\n  racellm-cli modality <file.c> <source|ast|depgraph|cfg>\n  racellm-cli dataset <out_dir>\n  racellm-cli corpus\n  racellm-cli xcheck --smoke [seed]\n  racellm-cli xcheck report [seed]\n  racellm-cli fix <file.c> | --corpus | --smoke\n  racellm-cli serve [--smoke] [--addr HOST:PORT] [--workers N] [--queue-cap N]\n                    [--cache-cap N] [--deadline-ms N]"
     );
     std::process::exit(2);
+}
+
+/// Print usage and exit 2 when `args` holds more than `max` words: a
+/// subcommand never ignores trailing arguments it does not take.
+fn at_most(args: &[String], max: usize) {
+    if args.len() > max {
+        usage();
+    }
 }
 
 /// Parse `--flag value` pairs from `args`, erroring on unknown flags.
@@ -102,8 +111,9 @@ fn cmd_serve(args: &[String]) -> ! {
 }
 
 fn cmd_fix(args: &[String]) -> ! {
+    at_most(args, 1);
     match args.first().map(String::as_str) {
-        Some("--smoke") => match repair::smoke() {
+        Some("--smoke") => match repair::smoke(&racellm::corpus_sample(16)) {
             Ok(summary) => {
                 print!("{summary}");
                 std::process::exit(0);
@@ -114,7 +124,7 @@ fn cmd_fix(args: &[String]) -> ! {
             }
         },
         Some("--corpus") => {
-            let summary = repair::sweep_corpus();
+            let summary = racellm::sweep_corpus(par::default_workers());
             print!("{}", repair::render_table(&summary));
             std::process::exit(0);
         }
@@ -177,6 +187,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => {
+            at_most(&args, 2);
             let path = args.get(1).unwrap_or_else(|| usage());
             let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot read {path}: {e}");
@@ -207,11 +218,12 @@ fn main() {
                 }
                 Err(e) => {
                     eprintln!("parse error: {e}");
-                    std::process::exit(1);
+                    std::process::exit(2);
                 }
             }
         }
         Some("modality") => {
+            at_most(&args, 3);
             let path = args.get(1).unwrap_or_else(|| usage());
             let kind = match args.get(2).map(String::as_str) {
                 Some("source") => llm::Modality::SourceText,
@@ -228,6 +240,7 @@ fn main() {
             println!("{}", llm::render_modality(&trimmed.code, kind));
         }
         Some("dataset") => {
+            at_most(&args, 2);
             let out = std::path::PathBuf::from(args.get(1).unwrap_or_else(|| usage()));
             drb_ml::Dataset::generate().export_dir(&out).unwrap_or_else(|e| {
                 eprintln!("export failed: {e}");
@@ -236,13 +249,15 @@ fn main() {
             println!("exported 201 DRB-ML entries to {}", out.display());
         }
         Some("xcheck") => {
+            at_most(&args, 3);
             let mode = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
+            let corpus = racellm::corpus_sample(17);
             let seed = match args.get(2) {
                 Some(s) => parse_seed(s),
                 None => xcheck::XConfig::default().seed,
             };
             match mode {
-                "--smoke" => match xcheck::smoke(seed) {
+                "--smoke" => match xcheck::smoke(seed, &corpus) {
                     Ok(r) => {
                         println!(
                             "xcheck smoke ok: {} kernels + {} flips, {} sem-mutants, {} disagreements ({} dyn errors)",
@@ -261,7 +276,7 @@ fn main() {
                 },
                 "report" => {
                     let cfg = xcheck::XConfig { seed, ..Default::default() };
-                    print!("{}", xcheck::render_report(&xcheck::run(&cfg)));
+                    print!("{}", xcheck::render_report(&xcheck::run(&cfg, &corpus)));
                 }
                 _ => usage(),
             }
@@ -269,6 +284,7 @@ fn main() {
         Some("fix") => cmd_fix(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("corpus") => {
+            at_most(&args, 1);
             for k in drb_gen::corpus() {
                 println!(
                     "{:40} {} {:18} {}",

@@ -5,7 +5,10 @@
 //! high-level [`Pipeline`] that mirrors the paper's Figure 1: DRB-ML
 //! dataset construction → prompt engineering → (surrogate) LLM
 //! inference → output parsing → metrics, alongside the traditional
-//! static and dynamic detectors used as the comparison baseline.
+//! static and dynamic detectors used as the comparison baseline. It
+//! also owns the corpus-wide passes ([`sweep_corpus`],
+//! [`corpus_sample`]): the service crates (`serve`, `repair`, `xcheck`)
+//! do not depend on the corpus and take what they check from here.
 //!
 //! ```
 //! let pipeline = racellm::Pipeline::new();
@@ -141,6 +144,42 @@ impl Pipeline {
     pub fn baseline(&self) -> eval::Confusion {
         eval::run_baseline(&self.views)
     }
+}
+
+/// Every `stride`-th corpus kernel as the `(name, trimmed code)` sample
+/// that `xcheck::run`/`xcheck::smoke` and `repair::smoke` re-check.
+pub fn corpus_sample(stride: usize) -> Vec<(&'static str, &'static str)> {
+    drb_gen::corpus()
+        .iter()
+        .step_by(stride)
+        .map(|k| (k.name.as_str(), k.trimmed_code.as_str()))
+        .collect()
+}
+
+/// Run the repair loop over every corpus kernel on `workers` threads;
+/// rows come back in corpus order, whatever the worker count.
+pub fn sweep_corpus(workers: usize) -> repair::SweepSummary {
+    let rows = par::par_map(drb_gen::corpus(), workers, |k| {
+        let r = repair::fix(&k.trimmed_code);
+        let (edits, patch_lines) = match r.fix() {
+            Some(f) => (
+                f.edits.iter().map(repair::edit_label).collect::<Vec<_>>().join("+"),
+                f.patch_lines,
+            ),
+            None => ("-".to_string(), 0),
+        };
+        repair::SweepRow {
+            id: k.id,
+            name: k.name.clone(),
+            category: k.category.as_str(),
+            racy: k.race,
+            outcome: r.outcome.tag(),
+            edits,
+            patch_lines,
+            candidates_tried: r.candidates_tried,
+        }
+    });
+    repair::SweepSummary { rows }
 }
 
 #[cfg(test)]

@@ -35,9 +35,7 @@ mod certify;
 mod minimize;
 mod sweep;
 
-pub use sweep::{
-    render_table, smoke, sweep_corpus, sweep_corpus_with_workers, SweepRow, SweepSummary,
-};
+pub use sweep::{render_table, smoke, SweepRow, SweepSummary};
 
 use llm::AnalyzedKernel;
 use minic::printer::print_unit;

@@ -1,14 +1,14 @@
-//! Corpus-wide repair sweep and the tier-1 smoke gate.
+//! Repair-sweep rows, the repair-rate table and the tier-1 smoke gate.
 //!
-//! [`sweep_corpus`] runs the full detect → fix → verify loop over every
-//! corpus kernel (in parallel, like every other corpus pass) and
-//! aggregates a per-category repair-rate table; [`render_table`] prints
-//! it deterministically so it can be golden-snapshotted. [`smoke`] is
-//! the cheap always-on gate wired into `racellm-cli fix --smoke`:
-//! fixture repairs, determinism, a from-scratch certificate replay, and
-//! a strided corpus sample.
+//! The corpus owner (`racellm::sweep_corpus`) runs the detect → fix →
+//! verify loop over every corpus kernel and collects one [`SweepRow`]
+//! each; [`render_table`] prints the per-category repair-rate table
+//! deterministically so it can be golden-snapshotted. [`smoke`] is the
+//! cheap always-on gate wired into `racellm-cli fix --smoke`: fixture
+//! repairs, determinism, a from-scratch certificate replay, and a
+//! corpus sample its caller passes in.
 
-use crate::{edit_label, fix};
+use crate::fix;
 use par::{default_workers, par_map};
 use std::fmt::Write as _;
 
@@ -59,38 +59,6 @@ impl SweepSummary {
         }
         100.0 * self.fixed_racy() as f64 / racy as f64
     }
-}
-
-/// Run the repair loop over the whole generated corpus.
-pub fn sweep_corpus() -> SweepSummary {
-    sweep_corpus_with_workers(default_workers())
-}
-
-/// [`sweep_corpus`] with an explicit worker count — the bench harness
-/// times serial vs parallel sweeps and asserts row-identical results.
-pub fn sweep_corpus_with_workers(workers: usize) -> SweepSummary {
-    let kernels = drb_gen::corpus();
-    let rows = par_map(kernels, workers, |k| {
-        let r = fix(&k.trimmed_code);
-        let (edits, patch_lines) = match r.fix() {
-            Some(f) => (
-                f.edits.iter().map(edit_label).collect::<Vec<_>>().join("+"),
-                f.patch_lines,
-            ),
-            None => ("-".to_string(), 0),
-        };
-        SweepRow {
-            id: k.id,
-            name: k.name.clone(),
-            category: k.category.as_str(),
-            racy: k.race,
-            outcome: r.outcome.tag(),
-            edits,
-            patch_lines,
-            candidates_tried: r.candidates_tried,
-        }
-    });
-    SweepSummary { rows }
 }
 
 /// Render the per-category repair-rate table (deterministic text —
@@ -150,9 +118,10 @@ pub fn render_table(summary: &SweepSummary) -> String {
 const SMOKE_FIXTURE: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
 
 /// Tier-1 smoke gate for the repair loop: fixture repair, determinism,
-/// a from-scratch certificate replay, and a strided corpus sample.
-/// Fast (a dozen kernels), deterministic, `Err` on any violated claim.
-pub fn smoke() -> Result<String, String> {
+/// a from-scratch certificate replay, and the `(name, code)` corpus
+/// sample. Fast (a dozen kernels), deterministic, `Err` on any violated
+/// claim.
+pub fn smoke(corpus: &[(&str, &str)]) -> Result<String, String> {
     // 1. The fixture racy reduction must fix with a reduction clause.
     let report = fix(SMOKE_FIXTURE);
     let f = report.fix().ok_or_else(|| {
@@ -191,10 +160,9 @@ pub fn smoke() -> Result<String, String> {
         }
     }
 
-    // 4. Strided corpus sample: every certified patch's certificate
-    //    must cover every seed, and the sample must contain fixes.
-    let kernels: Vec<_> = drb_gen::corpus().iter().step_by(16).collect();
-    let sample = par_map(&kernels, default_workers(), |k| (k.name.clone(), fix(&k.trimmed_code)));
+    // 4. Corpus sample: every certified patch's certificate must cover
+    //    every seed, and the sample must contain fixes.
+    let sample = par_map(corpus, default_workers(), |&(name, code)| (name, fix(code)));
     let mut fixed = 0usize;
     for (name, r) in &sample {
         if let Some(f) = r.fix() {
@@ -254,7 +222,12 @@ mod tests {
 
     #[test]
     fn smoke_gate_passes() {
-        let summary = smoke().expect("smoke must pass");
+        let corpus: Vec<(&str, &str)> = drb_gen::corpus()
+            .iter()
+            .step_by(16)
+            .map(|k| (k.name.as_str(), k.trimmed_code.as_str()))
+            .collect();
+        let summary = smoke(&corpus).expect("smoke must pass");
         assert!(summary.contains("repair smoke ok"), "{summary}");
     }
 }

@@ -17,18 +17,19 @@
 //!    disagreement to a minimal reproducing kernel,
 //! 5. [`report`] — the triage report behind `racellm-cli xcheck`.
 //!
-//! Everything is a pure function of the seed: the smoke gate
-//! ([`smoke`]) runs the sweep twice and insists on identical agreement
-//! matrices.
+//! Everything is a pure function of the seed and the caller's corpus
+//! sample: the smoke gate ([`smoke`]) runs the sweep twice and insists
+//! on identical [`Agreement`] matrices.
 //!
 //! ```
-//! let report = xcheck::run(&xcheck::XConfig { count: 8, shrink: false, ..Default::default() });
+//! let report = xcheck::run(&xcheck::XConfig { count: 8, shrink: false, ..Default::default() }, &[]);
 //! assert_eq!(report.generated, 8);
 //! assert!(report.sem_violations.is_empty());
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod agreement;
 pub mod gen;
 pub mod mutate;
 pub mod patch;
@@ -36,14 +37,13 @@ pub mod report;
 pub mod shrink;
 pub mod verdict;
 
+pub use agreement::Agreement;
 pub use gen::{generate, GenKernel, Pattern, SyncKind};
 pub use mutate::{apply_flip, apply_sem, FlipMutation, SemMutation};
 pub use patch::{apply_repair, RepairEdit};
 pub use report::render_report;
 pub use shrink::{reproduces, shrink};
 pub use verdict::{detect, verdicts_of_code, Evidence, Verdicts, DEFAULT_SEEDS};
-
-use eval::Agreement;
 
 /// Sweep configuration. Every field participates in determinism; the
 /// default is the configuration the tier-1 smoke gate pins.
@@ -53,9 +53,6 @@ pub struct XConfig {
     pub seed: u64,
     /// Number of grammar-generated kernels.
     pub count: usize,
-    /// Stride for the corpus sample the semantics-preserving mutations
-    /// are re-verified on (0 disables the corpus pass).
-    pub corpus_stride: usize,
     /// Whether to delta-debug disagreements down to minimal kernels.
     pub shrink: bool,
     /// Cap on the number of disagreements shrunk (shrinking re-runs the
@@ -65,7 +62,7 @@ pub struct XConfig {
 
 impl Default for XConfig {
     fn default() -> Self {
-        XConfig { seed: 0xD1FF, count: 64, corpus_stride: 17, shrink: true, max_shrink: 8 }
+        XConfig { seed: 0xD1FF, count: 64, shrink: true, max_shrink: 8 }
     }
 }
 
@@ -134,8 +131,10 @@ struct SweepItem {
     code: String,
 }
 
-/// Run one differential sweep.
-pub fn run(cfg: &XConfig) -> XReport {
+/// Run one differential sweep. `corpus` is the `(name, code)` sample
+/// the semantics-preserving mutations are re-verified on besides the
+/// generated kernels; an empty slice skips that part of the pass.
+pub fn run(cfg: &XConfig, corpus: &[(&str, &str)]) -> XReport {
     let kernels = gen::generate(cfg.seed, cfg.count);
     let workers = par::default_workers();
 
@@ -194,17 +193,11 @@ pub fn run(cfg: &XConfig) -> XReport {
     }
 
     // Phase 3: semantics-preserving invariance over generated kernels
-    // plus a corpus sample. Each unit is checked against its own base
+    // plus the corpus sample. Each unit is checked against its own base
     // verdicts, whatever they are.
-    let mut inv_inputs: Vec<(String, String)> =
-        kernels.iter().map(|k| (k.name.clone(), k.code.clone())).collect();
-    let mut corpus_checked = 0usize;
-    if cfg.corpus_stride > 0 {
-        for k in drb_gen::corpus().iter().step_by(cfg.corpus_stride) {
-            inv_inputs.push((k.name.clone(), k.trimmed_code.clone()));
-            corpus_checked += 1;
-        }
-    }
+    let mut inv_inputs: Vec<(&str, &str)> =
+        kernels.iter().map(|k| (k.name.as_str(), k.code.as_str())).collect();
+    inv_inputs.extend_from_slice(corpus);
     let inv_results: Vec<(usize, Vec<SemViolation>)> =
         par::par_map(&inv_inputs, workers, |(name, code)| check_invariance(name, code));
     let mut sem_mutants = 0usize;
@@ -228,7 +221,7 @@ pub fn run(cfg: &XConfig) -> XReport {
         generated: kernels.len(),
         flips,
         sem_mutants,
-        corpus_checked,
+        corpus_checked: corpus.len(),
         dyn_errors,
         sem_violations,
         label_misses,
@@ -268,13 +261,13 @@ fn check_invariance(name: &str, code: &str) -> (usize, Vec<SemViolation>) {
 }
 
 /// The deterministic tier-1 smoke gate: run the default 64-kernel sweep
-/// twice (shrinking off for speed) and require identical agreement
-/// matrices and zero semantics-preserving violations. Returns the
-/// report of the first run.
-pub fn smoke(seed: u64) -> Result<XReport, String> {
+/// with the `corpus` sample twice (shrinking off for speed) and require
+/// identical agreement matrices and zero semantics-preserving
+/// violations. Returns the report of the first run.
+pub fn smoke(seed: u64, corpus: &[(&str, &str)]) -> Result<XReport, String> {
     let cfg = XConfig { seed, shrink: false, ..Default::default() };
-    let first = run(&cfg);
-    let second = run(&cfg);
+    let first = run(&cfg, corpus);
+    let second = run(&cfg, corpus);
     if first.matrix != second.matrix {
         return Err(format!(
             "non-deterministic sweep: agreement matrices differ\nfirst:\n{}\nsecond:\n{}",
@@ -304,9 +297,9 @@ mod tests {
 
     #[test]
     fn small_sweep_is_deterministic_and_clean() {
-        let cfg = XConfig { seed: 5, count: 10, corpus_stride: 0, shrink: false, max_shrink: 0 };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let cfg = XConfig { seed: 5, count: 10, shrink: false, max_shrink: 0 };
+        let a = run(&cfg, &[]);
+        let b = run(&cfg, &[]);
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.generated, 10);
         assert!(a.flips > 0, "flip mutants should exist");
@@ -319,8 +312,8 @@ mod tests {
         // On the flip mutants of protected scalar updates, static and
         // dynamic agree with the derived label (expected/racecheck cell
         // of the matrix is dominated by agreement).
-        let cfg = XConfig { seed: 21, count: 24, corpus_stride: 0, shrink: false, max_shrink: 0 };
-        let r = run(&cfg);
+        let cfg = XConfig { seed: 21, count: 24, shrink: false, max_shrink: 0 };
+        let r = run(&cfg, &[]);
         assert!(r.matrix.total() > 0);
         // expected-vs-racecheck agreement rate should beat coin flips
         // by a wide margin on recipe-labelled kernels.

@@ -1,9 +1,9 @@
 //! The two mutation families.
 //!
 //! * **Semantics-preserving rewrites** ([`SemMutation`]) — α-renaming
-//!   (reusing `drb-gen`'s validated rename machinery), pragma-clause
-//!   reordering, permutation of adjacent independent statements, and
-//!   loop re-rolling (canonicalizing `i++` steps and re-bracing loop
+//!   (through `minic::visit`'s rename pair, which the corpus augmenter
+//!   shares), pragma-clause reordering, permutation of adjacent
+//!   independent statements, and loop re-rolling (canonicalizing `i++` steps and re-bracing loop
 //!   bodies). Applying one must leave every detector's verdict fixed;
 //!   the sweep records any violation.
 //! * **Label-flipping edits** ([`FlipMutation`]) — drop/add
@@ -54,7 +54,7 @@ pub fn apply_sem(unit: &TranslationUnit, m: SemMutation) -> Option<TranslationUn
     let mut u = unit.clone();
     let changed = match m {
         SemMutation::Rename => {
-            let names = drb_gen::collect_names(&u);
+            let names = minic::visit::collect_names(&u);
             if names.is_empty() {
                 return None;
             }
@@ -63,7 +63,7 @@ pub fn apply_sem(unit: &TranslationUnit, m: SemMutation) -> Option<TranslationUn
                 .enumerate()
                 .map(|(i, n)| (n.clone(), format!("rn{i}_{n}")))
                 .collect();
-            drb_gen::rename_unit(&mut u, &map);
+            minic::visit::rename_unit(&mut u, &map);
             true
         }
         SemMutation::ClauseReorder => {

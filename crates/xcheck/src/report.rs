@@ -78,8 +78,8 @@ mod tests {
 
     #[test]
     fn report_renders_all_sections() {
-        let cfg = XConfig { seed: 3, count: 12, corpus_stride: 0, shrink: true, max_shrink: 2 };
-        let r = crate::run(&cfg);
+        let cfg = XConfig { seed: 3, count: 12, shrink: true, max_shrink: 2 };
+        let r = crate::run(&cfg, &[]);
         let text = render_report(&r);
         assert!(text.contains("# xcheck differential sweep"));
         assert!(text.contains("## Agreement matrix"));

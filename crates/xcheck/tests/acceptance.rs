@@ -52,13 +52,18 @@ proptest! {
 fn smoke_gate_passes_and_is_deterministic() {
     // The same double-run the tier-1 gate performs, at reduced size so
     // the debug-profile test stays fast. Corpus invariance included.
-    let cfg = XConfig { count: 16, corpus_stride: 40, shrink: false, ..Default::default() };
-    let a = xcheck::run(&cfg);
-    let b = xcheck::run(&cfg);
+    let cfg = XConfig { count: 16, shrink: false, ..Default::default() };
+    let corpus: Vec<(&str, &str)> = drb_gen::corpus()
+        .iter()
+        .step_by(40)
+        .map(|k| (k.name.as_str(), k.trimmed_code.as_str()))
+        .collect();
+    let a = xcheck::run(&cfg, &corpus);
+    let b = xcheck::run(&cfg, &corpus);
     assert_eq!(a.matrix, b.matrix, "agreement matrix must be seed-deterministic");
     assert_eq!(a.disagreements.len(), b.disagreements.len());
     assert!(a.sem_violations.is_empty(), "{:#?}", a.sem_violations);
-    assert!(a.corpus_checked > 0);
+    assert_eq!(a.corpus_checked, corpus.len());
     assert!(a.sem_mutants > 0);
 }
 
@@ -67,8 +72,8 @@ fn shrunk_disagreements_reproduce() {
     // Indirect identity maps guarantee static/dynamic disagreements in
     // any decent-sized batch; shrunk kernels must keep the signature
     // and never grow.
-    let cfg = XConfig { count: 48, corpus_stride: 0, shrink: true, max_shrink: 4, ..Default::default() };
-    let r = xcheck::run(&cfg);
+    let cfg = XConfig { count: 48, shrink: true, max_shrink: 4, ..Default::default() };
+    let r = xcheck::run(&cfg, &[]);
     assert!(!r.disagreements.is_empty(), "expected at least one disagreement in 48 kernels");
     let mut shrunk_seen = 0;
     for d in &r.disagreements {

@@ -47,7 +47,7 @@ fn check(rendered: &str) {
 /// floor, and the rendered table matches the golden snapshot.
 #[test]
 fn repair_sweep_meets_floor_and_matches_golden() {
-    let summary = repair::sweep_corpus();
+    let summary = racellm::sweep_corpus(par::default_workers());
     for row in &summary.rows {
         assert!(
             row.outcome != "fixed" || row.patch_lines > 0,
