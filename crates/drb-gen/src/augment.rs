@@ -16,28 +16,38 @@
 use crate::spec::{Kernel, VarPair};
 use minic::ast::Item;
 use minic::visit::{collect_names, rename_unit};
+use minic::TranslationUnit;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 // Deterministic mixer for augmentation choices — the shared
 // implementation is stream-identical to the inline one it replaced, so
 // augmented corpora regenerate byte-for-byte.
 use par::rng::mix;
 
+/// The kernel's AST: the one it carries, else its trimmed code parsed.
+fn unit_of(k: &Kernel) -> Option<Arc<TranslationUnit>> {
+    k.unit.clone().or_else(|| minic::parse(&k.trimmed_code).ok().map(Arc::new))
+}
+
 /// Remap the kernel's racy pairs onto a structurally-identical mutant by
 /// access-index correspondence.
-fn remap_pairs(orig_code: &str, orig_pairs: &[VarPair], new_code: &str) -> Option<Vec<VarPair>> {
-    let collect = |code: &str| -> Option<Vec<depend::Access>> {
-        let u = minic::parse(code).ok()?;
+fn remap_pairs(
+    orig: &TranslationUnit,
+    orig_pairs: &[VarPair],
+    new: &TranslationUnit,
+) -> Option<Vec<VarPair>> {
+    let collect = |u: &TranslationUnit| -> Vec<depend::Access> {
         let mut out = Vec::new();
         for item in &u.items {
             if let Item::Func(f) = item {
                 out.extend(depend::accesses_of_block(&f.body));
             }
         }
-        Some(out)
+        out
     };
-    let old = collect(orig_code)?;
-    let new = collect(new_code)?;
+    let old = collect(orig);
+    let new = collect(new);
     if old.len() != new.len() {
         return None;
     }
@@ -108,21 +118,24 @@ pub fn mutate(k: &Kernel, m: Mutation, seed: u64) -> Option<Kernel> {
             })
         }
         Mutation::Reformat => {
-            let unit = minic::parse(&k.trimmed_code).ok()?;
-            let printed = minic::print_unit(&unit);
+            let orig = unit_of(k)?;
+            let printed = minic::print_unit(&orig);
             let trimmed = minic::trim_comments(&printed);
-            let pairs = remap_pairs(&k.trimmed_code, &k.pairs, &trimmed.code)?;
+            let unit = minic::parse(&trimmed.code).ok()?;
+            let pairs = remap_pairs(&orig, &k.pairs, &unit)?;
             Some(Kernel {
                 name: k.name.replace(".c", "-aug-reformat.c"),
                 code: printed.clone(),
                 trimmed_code: trimmed.code,
                 pairs,
+                unit: Some(Arc::new(unit)),
                 ..k.clone()
             })
         }
         Mutation::Rename => {
-            let mut unit = minic::parse(&k.trimmed_code).ok()?;
-            let names = collect_names(&unit);
+            let orig = unit_of(k)?;
+            let mut renamed = TranslationUnit::clone(&orig);
+            let names = collect_names(&renamed);
             let map: HashMap<String, String> = names
                 .iter()
                 .enumerate()
@@ -130,17 +143,18 @@ pub fn mutate(k: &Kernel, m: Mutation, seed: u64) -> Option<Kernel> {
                     (n.clone(), format!("v{}_{n}", mix(seed, i as u64) % 97))
                 })
                 .collect();
-            rename_unit(&mut unit, &map);
-            let printed = minic::print_unit(&unit);
+            rename_unit(&mut renamed, &map);
+            let printed = minic::print_unit(&renamed);
             let trimmed = minic::trim_comments(&printed);
             // Reparse to be sure the mutant is still valid.
-            minic::parse(&trimmed.code).ok()?;
-            let pairs = remap_pairs(&k.trimmed_code, &k.pairs, &trimmed.code)?;
+            let unit = minic::parse(&trimmed.code).ok()?;
+            let pairs = remap_pairs(&orig, &k.pairs, &unit)?;
             Some(Kernel {
                 name: k.name.replace(".c", "-aug-rename.c"),
                 code: printed.clone(),
                 trimmed_code: trimmed.code,
                 pairs,
+                unit: Some(Arc::new(unit)),
                 ..k.clone()
             })
         }
@@ -191,6 +205,27 @@ mod tests {
         for p in &m.pairs {
             assert!((p.lines.0 as usize) <= lines.len());
         }
+    }
+
+    /// A carried AST is always the kernel's own trimmed code parsed:
+    /// a reformatted or renamed mutant never inherits the original's.
+    #[test]
+    fn carried_units_match_the_trimmed_code() {
+        let check = |k: &Kernel| {
+            if let Some(u) = &k.unit {
+                assert_eq!(**u, minic::parse(&k.trimmed_code).unwrap(), "{}", k.name);
+            }
+        };
+        let mut mutants = 0;
+        for k in corpus::corpus() {
+            check(k);
+            for m in augment(k, 5) {
+                assert!(m.unit.is_some() || m.trimmed_code == k.trimmed_code, "{}", m.name);
+                check(&m);
+                mutants += 1;
+            }
+        }
+        assert!(mutants >= 2 * corpus::CORPUS_SIZE, "{mutants}");
     }
 
     #[test]

@@ -25,6 +25,12 @@ pub fn corpus() -> &'static [Kernel] {
 /// Assemble and resolve the corpus from its builders.
 pub fn build() -> Result<Vec<Kernel>, String> {
     let builders = templates::all_builders();
+    resolve_all(&in_id_order(&builders)?, par::default_workers())
+}
+
+/// The builders in corpus id order: yes/no interleaved in a stable
+/// pattern so consecutive ids mix both labels, like DRB's numbering.
+fn in_id_order(builders: &[Builder]) -> Result<Vec<&Builder>, String> {
     let yes: Vec<&Builder> = builders.iter().filter(|b| b.race).collect();
     let no: Vec<&Builder> = builders.iter().filter(|b| !b.race).collect();
     if yes.len() != YES_COUNT {
@@ -34,8 +40,6 @@ pub fn build() -> Result<Vec<Kernel>, String> {
         return Err(format!("expected {NO_COUNT} race-no builders, found {}", no.len()));
     }
 
-    // Interleave yes/no in a stable pattern so consecutive ids mix both
-    // labels, like DRB's numbering.
     let mut ordered: Vec<&Builder> = Vec::with_capacity(CORPUS_SIZE);
     let (mut yi, mut ni) = (0usize, 0usize);
     for i in 0..CORPUS_SIZE {
@@ -54,16 +58,34 @@ pub fn build() -> Result<Vec<Kernel>, String> {
             ni += 1;
         }
     }
+    Ok(ordered)
+}
 
-    let mut kernels = Vec::with_capacity(CORPUS_SIZE);
+/// Resolve `ordered[i]` as kernel `i + 1`, for every `i`, in one fan-out
+/// over `workers` threads. Builders go longest body first: the
+/// oversized trio costs about half of the corpus's parse time and sits
+/// at the end of the id order, where a plain fan-out would hand all
+/// three to the last worker still running. The error is the one a
+/// serial pass in id order meets first: a builder's duplicate slug
+/// before its own resolve error, and the lowest id's error among many.
+fn resolve_all(ordered: &[&Builder], workers: usize) -> Result<Vec<Kernel>, String> {
+    let mut longest_first: Vec<usize> = (0..ordered.len()).collect();
+    longest_first.sort_by_key(|&i| std::cmp::Reverse(ordered[i].body.len()));
+    let resolved = par::par_map(&longest_first, workers, |&i| resolve(ordered[i], i as u32 + 1));
+    let mut by_id: Vec<(usize, Result<Kernel, String>)> =
+        longest_first.into_iter().zip(resolved).collect();
+    by_id.sort_unstable_by_key(|&(i, _)| i);
     let mut seen_slugs = std::collections::HashSet::new();
-    for (idx, b) in ordered.iter().enumerate() {
-        if !seen_slugs.insert(b.slug.clone()) {
-            return Err(format!("duplicate kernel slug: {}", b.slug));
-        }
-        kernels.push(resolve(b, idx as u32 + 1)?);
-    }
-    Ok(kernels)
+    by_id
+        .into_iter()
+        .zip(ordered)
+        .map(|((_, r), b)| {
+            if !seen_slugs.insert(b.slug.as_str()) {
+                return Err(format!("duplicate kernel slug: {}", b.slug));
+            }
+            r
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -152,6 +174,50 @@ mod tests {
         let c = corpus();
         let cats: std::collections::HashSet<_> = c.iter().map(|k| k.category).collect();
         assert!(cats.len() >= 15, "only {} categories", cats.len());
+    }
+
+    /// The reference: one builder after another, in id order.
+    fn resolve_serially(ordered: &[&Builder]) -> Result<Vec<Kernel>, String> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for (i, b) in ordered.iter().enumerate() {
+            if !seen.insert(b.slug.clone()) {
+                return Err(format!("duplicate kernel slug: {}", b.slug));
+            }
+            out.push(resolve(b, i as u32 + 1)?);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn fan_out_reports_the_serial_passes_first_error() {
+        use crate::spec::Category;
+        let ok = |slug: &str| {
+            Builder::new(slug, Category::Control, "d", "int main() { return 0; }", false, vec![])
+        };
+        // Race-yes without pairs: `resolve` refuses it. The padding makes
+        // later bad builders the longest, so they resolve first.
+        let bad = |slug: &str, pad: usize| {
+            let body = format!("int main() {{ {}return 0; }}", "; ".repeat(pad));
+            Builder::new(slug, Category::Control, "d", &body, true, vec![])
+        };
+        let cases: Vec<Vec<Builder>> = vec![
+            vec![ok("a"), bad("b", 1), ok("a"), bad("c", 50)],
+            vec![ok("a"), ok("a"), bad("b", 50)],
+            vec![ok("a"), bad("b", 1), bad("c", 9), bad("d", 90)],
+            vec![ok("a"), bad("b", 1), bad("b", 90)],
+            vec![ok("a"), ok("b"), ok("c")],
+        ];
+        let names = |r: Result<Vec<Kernel>, String>| {
+            r.map(|ks| ks.into_iter().map(|k| k.name).collect::<Vec<_>>())
+        };
+        for builders in &cases {
+            let ordered: Vec<&Builder> = builders.iter().collect();
+            let serial = names(resolve_serially(&ordered));
+            for workers in [1, 2, 4] {
+                assert_eq!(names(resolve_all(&ordered, workers)), serial, "{workers} workers");
+            }
+        }
     }
 
     #[test]

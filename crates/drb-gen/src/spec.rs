@@ -9,7 +9,16 @@
 
 use depend::access::{accesses_of_block, Access, AccessKind};
 use minic::ast::Item;
+use minic::TranslationUnit;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// The longest trimmed code whose AST [`resolve`] keeps on the kernel.
+/// A kernel this short has at most this many tokens (a token spans at
+/// least one byte), so it fits DRB-ML's 4k-token prompt budget and its
+/// view reads the kept AST. The longer kernels are the oversized trio,
+/// which the budget drops, so no view reads their 19–22 KB ASTs.
+pub const UNIT_MAX_BYTES: usize = 4095;
 
 /// DRB-style pattern taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -282,6 +291,12 @@ pub struct Kernel {
     /// Detector interaction class.
     #[serde(skip, default = "default_behavior")]
     pub behavior: ToolBehavior,
+    /// `trimmed_code` parsed, shared with the consumers that would
+    /// otherwise parse it again (the DRB-ML views). When present it
+    /// equals `minic::parse(&trimmed_code)`. [`resolve`] keeps it only
+    /// up to [`UNIT_MAX_BYTES`]; deserialized kernels have none.
+    #[serde(skip)]
+    pub unit: Option<Arc<TranslationUnit>>,
 }
 
 fn default_behavior() -> ToolBehavior {
@@ -309,11 +324,14 @@ pub fn resolve(builder: &Builder, id: u32) -> Result<Kernel, String> {
     let unit = minic::parse(&trimmed.code)
         .map_err(|e| format!("{}: parse error: {e}\n{}", builder.slug, trimmed.code))?;
 
-    // Collect every access in program order, across all functions.
+    // Collect every access in program order, across all functions. A
+    // kernel that declares no pairs looks none up, so it skips the walk.
     let mut accesses: Vec<Access> = Vec::new();
-    for item in &unit.items {
-        if let Item::Func(f) = item {
-            accesses.extend(accesses_of_block(&f.body));
+    if !builder.pairs.is_empty() {
+        for item in &unit.items {
+            if let Item::Func(f) = item {
+                accesses.extend(accesses_of_block(&f.body));
+            }
         }
     }
 
@@ -355,6 +373,7 @@ pub fn resolve(builder: &Builder, id: u32) -> Result<Kernel, String> {
     let code = format!("{header}{body}");
 
     let name = format!("SRB{id:03}-{}.c", builder.slug);
+    let unit = (trimmed.code.len() <= UNIT_MAX_BYTES).then(|| Arc::new(unit));
     Ok(Kernel {
         id,
         name,
@@ -365,6 +384,7 @@ pub fn resolve(builder: &Builder, id: u32) -> Result<Kernel, String> {
         race: builder.race,
         pairs,
         behavior: builder.behavior,
+        unit,
     })
 }
 

@@ -48,7 +48,9 @@ impl Dataset {
     /// Surrogate views for the evaluation subset, difficulty included.
     ///
     /// Each view carries its analysis artifact (AST, tokens, features),
-    /// computed in parallel at build time. For the canonical
+    /// computed in parallel at build time around the AST its corpus
+    /// kernel already parsed (an entry whose code differs from its
+    /// kernel's, as an edited import may, is parsed). For the canonical
     /// [`Dataset::generate`] dataset the views are built once and cached:
     /// subsequent calls clone the views, and clones share the artifact
     /// cells, so every kernel is analyzed exactly once per process.
@@ -62,19 +64,19 @@ impl Dataset {
 
     fn build_subset_views(&self) -> Vec<KernelView> {
         let kernels = drb_gen::corpus();
-        let jobs: Vec<(&DrbMlEntry, f64)> = self
+        let jobs: Vec<(&DrbMlEntry, Option<&drb_gen::Kernel>)> = self
             .subset_4k()
             .into_iter()
-            .map(|e| {
-                let cat = kernels
-                    .iter()
-                    .find(|k| k.id == e.id)
-                    .map(|k| k.category.difficulty())
-                    .unwrap_or(0.5);
-                (e, cat)
-            })
+            .map(|e| (e, kernels.iter().find(|k| k.id == e.id)))
             .collect();
-        par_views(&jobs)
+        par::par_map(&jobs, par::default_workers(), |&(e, k)| {
+            let cat = k.map_or(0.5, |k| k.category.difficulty());
+            // A corpus kernel's AST serves only an entry with its code.
+            match k.filter(|k| k.trimmed_code == e.trimmed_code).and_then(|k| k.unit.clone()) {
+                Some(unit) => e.to_view_parsed(cat, unit),
+                None => e.to_view(cat),
+            }
+        })
     }
 
     /// Write one JSON file per entry (`DRB-ML-xxx.json`), mirroring the
@@ -104,49 +106,6 @@ impl Dataset {
         entries.sort_by_key(|e| e.id);
         Ok(Dataset { entries })
     }
-}
-
-/// Analyze entries into views in parallel: scoped workers claim indices
-/// off an atomic counter, collect `(index, view)` pairs locally, and the
-/// results are scattered in order after the join. Honors the
-/// `RACELLM_WORKERS` override used by the sweep layer.
-fn par_views(jobs: &[(&DrbMlEntry, f64)]) -> Vec<KernelView> {
-    let env_workers = std::env::var("RACELLM_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(1));
-    let workers = env_workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
-        .min(16)
-        .min(jobs.len().max(1));
-    if workers <= 1 {
-        return jobs.iter().map(|(e, cat)| e.to_view(*cat)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut collected: Vec<Vec<(usize, KernelView)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::with_capacity(jobs.len() / workers + 1);
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some((e, cat)) = jobs.get(i) else { break };
-                        local.push((i, e.to_view(*cat)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("analysis worker panicked")).collect()
-    });
-    let mut out: Vec<Option<KernelView>> = Vec::with_capacity(jobs.len());
-    out.resize_with(jobs.len(), || None);
-    for buf in &mut collected {
-        for (i, v) in buf.drain(..) {
-            out[i] = Some(v);
-        }
-    }
-    out.into_iter().map(|slot| slot.expect("every index filled")).collect()
 }
 
 #[cfg(test)]
@@ -206,5 +165,31 @@ mod tests {
         let views = ds.subset_views();
         assert_eq!(views.len(), 198);
         assert!(views.iter().all(|v| v.difficulty > 0.0 && v.difficulty < 1.0));
+    }
+
+    #[test]
+    fn every_subset_kernel_carries_its_corpus_unit() {
+        let kernels = drb_gen::corpus();
+        for e in &Dataset::generate().entries {
+            let k = kernels.iter().find(|k| k.id == e.id).unwrap();
+            assert_eq!(k.unit.is_some(), e.fits_prompt_budget(), "{}", e.name);
+        }
+        for v in Dataset::generate().subset_views() {
+            let k = kernels.iter().find(|k| k.id == v.id).unwrap();
+            let ast = v.artifact().ast.as_ref().expect("corpus kernels parse");
+            assert!(std::sync::Arc::ptr_eq(ast, k.unit.as_ref().unwrap()), "{}", k.name);
+        }
+    }
+
+    #[test]
+    fn an_edited_entry_is_parsed_not_given_the_corpus_unit() {
+        let mut ds = Dataset::generate().clone();
+        let e = &mut ds.entries[0];
+        e.trimmed_code = e.trimmed_code.replacen("int ", "int  ", 1);
+        let views = ds.subset_views();
+        let ast = views[0].artifact().ast.as_ref().unwrap();
+        let unit = drb_gen::corpus()[0].unit.as_ref().unwrap();
+        assert!(!std::sync::Arc::ptr_eq(ast, unit));
+        assert_eq!(**ast, minic::parse(&views[0].trimmed_code).unwrap());
     }
 }

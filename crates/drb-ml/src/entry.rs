@@ -7,8 +7,10 @@
 //! of the pair; `operation` is `"w"` or `"r"`).
 
 use drb_gen::{Kernel, Op};
-use llm::{KernelView, PairView};
+use llm::{AnalyzedKernel, KernelView, PairView};
+use minic::TranslationUnit;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One variable pair, serialized as in Listing 2.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,7 +89,18 @@ impl DrbMlEntry {
     /// tokens, features) is computed here — once — and travels with the
     /// view, so no downstream stage re-derives it.
     pub fn to_view(&self, category_difficulty: f64) -> KernelView {
-        let artifact = llm::AnalyzedKernel::analyze(&self.trimmed_code);
+        self.view_of(category_difficulty, AnalyzedKernel::analyze(&self.trimmed_code))
+    }
+
+    /// [`to_view`](Self::to_view) around `unit`, this entry's trimmed
+    /// code already parsed (its corpus kernel's shared AST), so building
+    /// the view parses nothing.
+    pub fn to_view_parsed(&self, category_difficulty: f64, unit: Arc<TranslationUnit>) -> KernelView {
+        let artifact = AnalyzedKernel::from_shared(&self.trimmed_code, Some(unit));
+        self.view_of(category_difficulty, artifact)
+    }
+
+    fn view_of(&self, category_difficulty: f64, artifact: AnalyzedKernel) -> KernelView {
         let difficulty = 0.6 * category_difficulty + 0.4 * artifact.surface_difficulty;
         let pairs = self
             .var_pairs

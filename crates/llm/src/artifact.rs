@@ -20,7 +20,8 @@
 use crate::features::CodeFeatures;
 use crate::profile::{ModelKind, PromptStrategy};
 use crate::tokenizer::token_ids;
-use std::sync::OnceLock;
+use minic::TranslationUnit;
+use std::sync::{Arc, OnceLock};
 
 /// Width of the hashed n-gram vector.
 pub const NGRAM_DIM: usize = 256;
@@ -116,8 +117,9 @@ impl Default for PredictMemo {
 #[derive(Debug)]
 pub struct AnalyzedKernel {
     /// Parsed AST (`None` when the code does not parse; downstream
-    /// consumers degrade exactly as they did when re-parsing).
-    pub ast: Option<minic::TranslationUnit>,
+    /// consumers degrade exactly as they did when re-parsing). Shared,
+    /// so a corpus kernel's views reuse the unit the corpus parsed.
+    pub ast: Option<Arc<TranslationUnit>>,
     /// The token ids of the trimmed code, in order (its length is the
     /// 4k-filter token count). Texts are not kept: the one consumer that
     /// needs them re-scans the code.
@@ -151,9 +153,15 @@ impl AnalyzedKernel {
     /// unparseable code). Lets callers that need the parse *error* — the
     /// end-to-end pipeline — parse once themselves and still share the
     /// result.
-    pub fn from_parsed(trimmed_code: &str, ast: Option<minic::TranslationUnit>) -> AnalyzedKernel {
+    pub fn from_parsed(trimmed_code: &str, ast: Option<TranslationUnit>) -> AnalyzedKernel {
+        AnalyzedKernel::from_shared(trimmed_code, ast.map(Arc::new))
+    }
+
+    /// [`from_parsed`](Self::from_parsed) around an AST shared with its
+    /// owner (a corpus kernel's unit); the artifact parses nothing.
+    pub fn from_shared(trimmed_code: &str, ast: Option<Arc<TranslationUnit>>) -> AnalyzedKernel {
         let tokens = token_ids(trimmed_code);
-        let features = CodeFeatures::from_parts(tokens.len(), ast.as_ref());
+        let features = CodeFeatures::from_parts(tokens.len(), ast.as_deref());
         let feature_vec = features.to_vector();
         let ngram_vec = ngram_vector_of(&tokens);
         let mut full_vec = ngram_vec.clone();
@@ -176,7 +184,7 @@ impl AnalyzedKernel {
     /// artifact and shared by every subsequent schedule sweep. `None`
     /// only when the code does not parse (every parsed kernel lowers).
     pub fn oracle_program(&self) -> Option<&hbsan::Program> {
-        let unit = self.ast.as_ref()?;
+        let unit = self.ast.as_deref()?;
         Some(self.oracle_program.get_or_init(|| hbsan::lower(unit)))
     }
 }

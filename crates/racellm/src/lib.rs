@@ -62,37 +62,31 @@ pub struct AnalysisReport {
 }
 
 /// The end-to-end pipeline of Figure 1.
-pub struct Pipeline {
-    views: Vec<KernelView>,
-    surrogates: Vec<(ModelKind, Surrogate)>,
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+///
+/// It holds nothing: the corpus-backed calls ([`views`](Self::views),
+/// [`surrogate`](Self::surrogate), [`detection`](Self::detection),
+/// [`baseline`](Self::baseline)) read the process-wide caches
+/// (`eval::corpus_views` / `corpus_surrogates`) on first use, and
+/// [`analyze`](Self::analyze) never builds them.
+#[derive(Debug, Default)]
+pub struct Pipeline;
 
 impl Pipeline {
-    /// Build the pipeline: generate the corpus, derive DRB-ML, calibrate
-    /// the four surrogates. Views and surrogates come from the shared
-    /// process-wide caches (`eval::corpus_views` / `corpus_surrogates`),
-    /// so building a second pipeline — or running the table runners
-    /// alongside one — re-analyzes nothing.
+    /// The pipeline. Building it costs nothing; the corpus, DRB-ML and
+    /// the four calibrated surrogates are built the first time a call
+    /// reads them, once per process.
     pub fn new() -> Pipeline {
-        let views = eval::corpus_views().to_vec();
-        let surrogates = eval::corpus_surrogates().to_vec();
-        Pipeline { views, surrogates }
+        Pipeline
     }
 
     /// The evaluation subset the pipeline was calibrated on.
-    pub fn views(&self) -> &[KernelView] {
-        &self.views
+    pub fn views(&self) -> &'static [KernelView] {
+        eval::corpus_views()
     }
 
     /// Surrogate for a model.
-    pub fn surrogate(&self, kind: ModelKind) -> &Surrogate {
-        &self.surrogates.iter().find(|(k, _)| *k == kind).expect("all four present").1
+    pub fn surrogate(&self, kind: ModelKind) -> &'static Surrogate {
+        &eval::corpus_surrogates().iter().find(|(k, _)| *k == kind).expect("all four present").1
     }
 
     /// Analyze an arbitrary snippet with every tool in the workspace.
@@ -109,8 +103,8 @@ impl Pipeline {
         let ev = xcheck::detect(&artifact).expect("parsed above");
         let dy = ev.dynamic.unwrap_or_default();
         let mut llm_answers = Vec::new();
-        for (kind, _s) in &self.surrogates {
-            let suspicious = llm::feature_verdict(&artifact.features, *kind);
+        for kind in ModelKind::ALL {
+            let suspicious = llm::feature_verdict(&artifact.features, kind);
             let text = if suspicious {
                 format!("Yes, {} suspects a data race in this code.", kind.name())
             } else {
@@ -137,12 +131,12 @@ impl Pipeline {
     /// Run one calibrated detection experiment (model × prompt) over the
     /// evaluation subset.
     pub fn detection(&self, kind: ModelKind, strategy: PromptStrategy) -> eval::Confusion {
-        eval::run_detection(self.surrogate(kind), strategy, &self.views).0
+        eval::run_detection(self.surrogate(kind), strategy, self.views()).0
     }
 
     /// The traditional-tool baseline confusion over the subset.
     pub fn baseline(&self) -> eval::Confusion {
-        eval::run_baseline(&self.views)
+        eval::run_baseline(self.views())
     }
 }
 

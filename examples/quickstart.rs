@@ -25,10 +25,9 @@ int main(int argc, char* argv[])
 }
 "#;
 
-    println!("Building the pipeline (corpus → DRB-ML → calibrated surrogates)…");
     let pipeline = Pipeline::new();
 
-    println!("\nAnalyzing the snippet with every tool in the workspace:\n");
+    println!("Analyzing the snippet with every tool in the workspace:\n");
     let report = pipeline.analyze(source).expect("snippet parses");
 
     println!("tokens (trimmed): {}", report.tokens);
@@ -45,7 +44,8 @@ int main(int argc, char* argv[])
         println!("  {model:4} → {:?}: {text}", verdict);
     }
 
-    println!("\nCalibrated benchmark numbers (paper Table 3, p1 column):");
+    println!("\nBuilding the corpus, DRB-ML and the calibrated surrogates…");
+    println!("Calibrated benchmark numbers (paper Table 3, p1 column):");
     let baseline = pipeline.baseline();
     println!("  Ins  : {baseline}");
     for kind in racellm::llm::ModelKind::ALL {
