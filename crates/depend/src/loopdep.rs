@@ -327,13 +327,7 @@ pub fn pairwise_dependences(
 pub fn first_for(s: &Stmt) -> Option<&ForStmt> {
     match s {
         Stmt::For(f) => Some(f),
-        Stmt::Block(b) => b.stmts.iter().find_map(first_for),
-        Stmt::Omp { body, .. } => body.as_deref().and_then(first_for),
-        Stmt::If { then, els, .. } => {
-            first_for(then).or_else(|| els.as_deref().and_then(first_for))
-        }
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => first_for(body),
-        _ => None,
+        _ => s.children().find_map(first_for),
     }
 }
 

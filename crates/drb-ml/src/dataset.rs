@@ -51,15 +51,21 @@ impl Dataset {
     /// computed in parallel at build time around the AST its corpus
     /// kernel already parsed (an entry whose code differs from its
     /// kernel's, as an edited import may, is parsed). For the canonical
-    /// [`Dataset::generate`] dataset the views are built once and cached:
-    /// subsequent calls clone the views, and clones share the artifact
-    /// cells, so every kernel is analyzed exactly once per process.
+    /// [`Dataset::generate`] dataset this clones
+    /// [`Dataset::generated_views`], and clones share the artifact cells,
+    /// so every kernel is analyzed exactly once per process.
     pub fn subset_views(&self) -> Vec<KernelView> {
-        static VIEWS: OnceLock<Vec<KernelView>> = OnceLock::new();
         if std::ptr::eq(self, Dataset::generate()) {
-            return VIEWS.get_or_init(|| self.build_subset_views()).clone();
+            return Dataset::generated_views().to_vec();
         }
         self.build_subset_views()
+    }
+
+    /// The canonical dataset's evaluation-subset views, built once per
+    /// process and shared by reference.
+    pub fn generated_views() -> &'static [KernelView] {
+        static VIEWS: OnceLock<Vec<KernelView>> = OnceLock::new();
+        VIEWS.get_or_init(|| Dataset::generate().build_subset_views())
     }
 
     fn build_subset_views(&self) -> Vec<KernelView> {

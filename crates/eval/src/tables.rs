@@ -87,11 +87,11 @@ impl CvRow {
     }
 }
 
-/// The cached evaluation-subset views every table runner shares. Built
-/// once per process; each view carries its analysis artifact.
+/// The cached evaluation-subset views every table runner shares
+/// ([`Dataset::generated_views`]); each view carries its analysis
+/// artifact.
 pub fn corpus_views() -> &'static [KernelView] {
-    static VIEWS: OnceLock<Vec<KernelView>> = OnceLock::new();
-    VIEWS.get_or_init(|| Dataset::generate().subset_views())
+    Dataset::generated_views()
 }
 
 /// The calibrated surrogates every table runner shares — one

@@ -1068,7 +1068,7 @@ impl<'a> Interp<'a> {
             }
             DK::Atomic(kind) => {
                 let body = body_or_ok(body)?;
-                let target = atomic_target_var(*kind, body);
+                let target = atomic_target(*kind, body).map(str::to_string);
                 let saved = std::mem::replace(&mut self.atomic_target, target);
                 let flow = self.exec_stmt(body)?;
                 self.atomic_target = saved;
@@ -1216,12 +1216,7 @@ impl<'a> Interp<'a> {
         loopish: Option<&Directive>,
     ) -> RtResult<Flow> {
         // Serial conditions.
-        let serial = self.in_region
-            || dir.clauses.iter().any(|c| match c {
-                Clause::NumThreads(e) => e.const_int() == Some(1),
-                Clause::If(e) => e.const_int() == Some(0),
-                _ => false,
-            });
+        let serial = self.in_region || dir.serial_by_clauses();
         if serial {
             // Nested or disabled parallelism: run inline (single thread).
             return match loopish {
@@ -1633,36 +1628,13 @@ fn body_or_ok(body: Option<&Stmt>) -> RtResult<&Stmt> {
     body.ok_or_else(|| RtError::Unsupported("directive requires a body".into()))
 }
 
-pub(crate) fn as_for(s: &Stmt) -> Option<&ForStmt> {
-    match s {
-        Stmt::For(f) => Some(f),
-        Stmt::Block(b) if b.stmts.len() == 1 => as_for(&b.stmts[0]),
-        _ => None,
-    }
-}
-
 /// Does the loop header (init/cond/step) reference any of `vars`?
 /// Used to detect triangular collapse nests.
 pub(crate) fn for_header_mentions(f: &ForStmt, vars: &[String]) -> bool {
     fn expr_mentions(e: &Expr, vars: &[String]) -> bool {
         match e {
             Expr::Ident { name, .. } => vars.iter().any(|v| v == name),
-            Expr::Index { base, index, .. } => {
-                expr_mentions(base, vars) || expr_mentions(index, vars)
-            }
-            Expr::Call { args, .. } => args.iter().any(|a| expr_mentions(a, vars)),
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-                expr_mentions(expr, vars)
-            }
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                expr_mentions(lhs, vars) || expr_mentions(rhs, vars)
-            }
-            Expr::Cond { cond, then, els, .. } => {
-                expr_mentions(cond, vars)
-                    || expr_mentions(then, vars)
-                    || expr_mentions(els, vars)
-            }
-            _ => false,
+            _ => e.children().any(|c| expr_mentions(c, vars)),
         }
     }
     let init_hit = match &f.init {
@@ -1838,25 +1810,3 @@ pub(crate) fn apply_reduction(op: ReductionOp, a: Value, b: Value) -> Value {
     }
 }
 
-pub(crate) fn atomic_target_var(kind: AtomicKind, body: &Stmt) -> Option<String> {
-    let e = match body {
-        Stmt::Expr(e) => e,
-        Stmt::Block(b) if b.stmts.len() == 1 => match &b.stmts[0] {
-            Stmt::Expr(e) => e,
-            _ => return None,
-        },
-        _ => return None,
-    };
-    match (kind, e) {
-        (AtomicKind::Read, Expr::Assign { rhs, .. }) => rhs.root_var().map(str::to_string),
-        // Capture `v = x++` / `v = x += k`: the atomic location is x.
-        (AtomicKind::Capture, Expr::Assign { rhs, .. })
-            if matches!(rhs.as_ref(), Expr::IncDec { .. } | Expr::Assign { .. }) =>
-        {
-            rhs.root_var().map(str::to_string)
-        }
-        (_, Expr::Assign { lhs, .. }) => lhs.root_var().map(str::to_string),
-        (_, Expr::IncDec { expr, .. }) => expr.root_var().map(str::to_string),
-        _ => None,
-    }
-}

@@ -32,7 +32,7 @@
 //!    `printf` arguments, long declarators) — those go through the
 //!    argument stack.
 
-use crate::interp::{arity_error, as_for, atomic_target_var, builtin_arity, for_header_mentions};
+use crate::interp::{arity_error, builtin_arity, for_header_mentions};
 use crate::ir::*;
 use crate::value::Value;
 use crate::RtError;
@@ -538,30 +538,14 @@ impl<'a> Lowerer<'a> {
 /// Append every name a statement-level `threadprivate` directive in `s`
 /// lists.
 fn collect_threadprivate<'a>(s: &'a Stmt, out: &mut Vec<&'a str>) {
-    match s {
-        Stmt::Block(b) => b.stmts.iter().for_each(|s| collect_threadprivate(s, out)),
-        Stmt::If { then, els, .. } => {
-            collect_threadprivate(then, out);
-            if let Some(e) = els {
-                collect_threadprivate(e, out);
+    if let Stmt::Omp { dir: Directive { kind: DirectiveKind::Threadprivate(vars), .. }, .. } = s {
+        for v in vars {
+            if !out.contains(&v.as_str()) {
+                out.push(v.as_str());
             }
         }
-        Stmt::For(f) => collect_threadprivate(&f.body, out),
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => collect_threadprivate(body, out),
-        Stmt::Omp { dir, body, .. } => {
-            if let DirectiveKind::Threadprivate(vars) = &dir.kind {
-                for v in vars {
-                    if !out.contains(&v.as_str()) {
-                        out.push(v.as_str());
-                    }
-                }
-            }
-            if let Some(b) = body {
-                collect_threadprivate(b, out);
-            }
-        }
-        _ => {}
     }
+    s.children().for_each(|c| collect_threadprivate(c, out));
 }
 
 // -------------------------------------------------------------------
@@ -1171,7 +1155,7 @@ impl<'a> Lowerer<'a> {
                 body: self.stmt_range(body),
             },
             DK::Atomic(kind) => {
-                let target = atomic_target_var(*kind, body).map(|v| self.name_idx(&v));
+                let target = atomic_target(*kind, body).map(|v| self.name_idx(v));
                 DirIr::Atomic { target, body: self.stmt_range(body) }
             }
             DK::Ordered => {
@@ -1230,11 +1214,7 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_parallel(&mut self, dir: &'a Directive, body: &'a Stmt, kind: ForkKind) -> ParallelIr {
-        let serial_const = dir.clauses.iter().any(|c| match c {
-            Clause::NumThreads(e) => e.const_int() == Some(1),
-            Clause::If(e) => e.const_int() == Some(0),
-            _ => false,
-        });
+        let serial_const = dir.serial_by_clauses();
         let team = dir
             .num_threads()
             .and_then(|e| e.const_int())

@@ -157,7 +157,7 @@ impl CodeFeatures {
                 }
             }
             // Helper calls + scalar writes inside parallel constructs.
-            scan_parallel(&func.body.stmts, &mut f, false);
+            func.body.stmts.iter().for_each(|s| scan_parallel(s, &mut f, false));
         }
         // Deep channel: real dependence analysis of the first parallel loop.
         for item in &unit.items {
@@ -319,23 +319,14 @@ fn has_pointer_assignment(unit: &minic::TranslationUnit) -> bool {
     fn walk(s: &Stmt, out: &mut HashSet<String>) {
         match s {
             Stmt::Decl(d) => collect_decl(d, out),
-            Stmt::Block(b) => b.stmts.iter().for_each(|s| walk(s, out)),
             Stmt::For(f) => {
                 if let minic::ast::ForInit::Decl(d) = &f.init {
                     collect_decl(d, out);
                 }
-                walk(&f.body, out);
             }
-            Stmt::If { then, els, .. } => {
-                walk(then, out);
-                if let Some(e) = els {
-                    walk(e, out);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => walk(body, out),
-            Stmt::Omp { body: Some(b), .. } => walk(b, out),
             _ => {}
         }
+        s.children().for_each(|c| walk(c, out));
     }
     for item in &unit.items {
         match item {
@@ -363,43 +354,25 @@ fn has_pointer_assignment(unit: &minic::TranslationUnit) -> bool {
     false
 }
 
-fn scan_parallel(stmts: &[Stmt], f: &mut CodeFeatures, in_parallel: bool) {
-    for s in stmts {
-        match s {
-            Stmt::Omp { dir, body, .. } => {
-                let now = in_parallel || dir.kind.creates_parallelism();
-                if let Some(b) = body {
-                    scan_parallel(std::slice::from_ref(b.as_ref()), f, now);
+fn scan_parallel(s: &Stmt, f: &mut CodeFeatures, in_parallel: bool) {
+    let mut now = in_parallel;
+    match s {
+        Stmt::Omp { dir, .. } => now |= dir.kind.creates_parallelism(),
+        Stmt::For(fs) if in_parallel => {
+            for a in depend::accesses_of_stmt(&fs.body) {
+                if !a.is_array() && a.kind == AccessKind::Write {
+                    f.scalar_write_in_loop = true;
                 }
             }
-            Stmt::Block(b) => scan_parallel(&b.stmts, f, in_parallel),
-            Stmt::For(fs) => {
-                if in_parallel {
-                    for a in depend::accesses_of_stmt(&fs.body) {
-                        if !a.is_array() && a.kind == AccessKind::Write {
-                            f.scalar_write_in_loop = true;
-                        }
-                    }
-                }
-                scan_parallel(std::slice::from_ref(&fs.body), f, in_parallel);
-            }
-            Stmt::If { then, els, .. } => {
-                scan_parallel(std::slice::from_ref(then.as_ref()), f, in_parallel);
-                if let Some(e) = els {
-                    scan_parallel(std::slice::from_ref(e.as_ref()), f, in_parallel);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
-                scan_parallel(std::slice::from_ref(body.as_ref()), f, in_parallel)
-            }
-            Stmt::Expr(minic::ast::Expr::Call { callee, .. })
-                if in_parallel && !callee.starts_with("omp_") && callee != "printf" =>
-            {
-                f.has_helper_call = true;
-            }
-            _ => {}
         }
+        Stmt::Expr(minic::ast::Expr::Call { callee, .. })
+            if in_parallel && !callee.starts_with("omp_") && callee != "printf" =>
+        {
+            f.has_helper_call = true;
+        }
+        _ => {}
     }
+    s.children().for_each(|c| scan_parallel(c, f, now));
 }
 
 #[cfg(test)]

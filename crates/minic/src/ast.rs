@@ -143,42 +143,24 @@ fn strip_directive(d: &mut Directive) {
 }
 
 fn strip_expr(e: &mut Expr) {
-    match e {
-        Expr::IntLit { span, .. }
-        | Expr::FloatLit { span, .. }
-        | Expr::StrLit { span, .. }
-        | Expr::CharLit { span, .. }
-        | Expr::Ident { span, .. } => *span = Span::DUMMY,
-        Expr::Index { base, index, span } => {
-            *span = Span::DUMMY;
-            strip_expr(base);
-            strip_expr(index);
-        }
-        Expr::Call { args, span, .. } => {
-            *span = Span::DUMMY;
-            args.iter_mut().for_each(strip_expr);
-        }
-        Expr::Unary { expr, span, .. } | Expr::IncDec { expr, span, .. } => {
-            *span = Span::DUMMY;
-            strip_expr(expr);
-        }
-        Expr::Cast { ty, expr, span } => {
-            *span = Span::DUMMY;
-            strip_type(ty);
-            strip_expr(expr);
-        }
-        Expr::Binary { lhs, rhs, span, .. } | Expr::Assign { lhs, rhs, span, .. } => {
-            *span = Span::DUMMY;
-            strip_expr(lhs);
-            strip_expr(rhs);
-        }
-        Expr::Cond { cond, then, els, span } => {
-            *span = Span::DUMMY;
-            strip_expr(cond);
-            strip_expr(then);
-            strip_expr(els);
-        }
+    let (Expr::IntLit { span, .. }
+    | Expr::FloatLit { span, .. }
+    | Expr::StrLit { span, .. }
+    | Expr::CharLit { span, .. }
+    | Expr::Ident { span, .. }
+    | Expr::Index { span, .. }
+    | Expr::Call { span, .. }
+    | Expr::Unary { span, .. }
+    | Expr::Binary { span, .. }
+    | Expr::Assign { span, .. }
+    | Expr::IncDec { span, .. }
+    | Expr::Cond { span, .. }
+    | Expr::Cast { span, .. }) = e;
+    *span = Span::DUMMY;
+    if let Expr::Cast { ty, .. } = e {
+        strip_type(ty);
     }
+    e.children_mut().for_each(strip_expr);
 }
 
 /// A retained (non-pragma) preprocessor line.
@@ -415,6 +397,35 @@ impl Stmt {
             Stmt::Continue(s) => *s,
             Stmt::Omp { span, .. } => *span,
         }
+    }
+
+    /// The statements directly under this one, in source order: a
+    /// block's statements; `then` then `els`; a loop's body; a
+    /// directive's body. Expressions, declarations and `for` headers are
+    /// not statements and are not yielded.
+    pub fn children(&self) -> impl Iterator<Item = &Stmt> {
+        let (list, a, b): (&[Stmt], Option<&Stmt>, Option<&Stmt>) = match self {
+            Stmt::Block(b) => (&b.stmts, None, None),
+            Stmt::If { then, els, .. } => (&[], Some(then), els.as_deref()),
+            Stmt::For(f) => (&[], Some(&f.body), None),
+            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => (&[], Some(body), None),
+            Stmt::Omp { body, .. } => (&[], body.as_deref(), None),
+            _ => (&[], None, None),
+        };
+        list.iter().chain(a).chain(b)
+    }
+
+    /// [`Stmt::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Stmt> {
+        let (list, a, b): (&mut [Stmt], Option<&mut Stmt>, Option<&mut Stmt>) = match self {
+            Stmt::Block(b) => (&mut b.stmts, None, None),
+            Stmt::If { then, els, .. } => (&mut [], Some(then), els.as_deref_mut()),
+            Stmt::For(f) => (&mut [], Some(&mut f.body), None),
+            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => (&mut [], Some(body), None),
+            Stmt::Omp { body, .. } => (&mut [], body.as_deref_mut(), None),
+            _ => (&mut [], None, None),
+        };
+        list.iter_mut().chain(a).chain(b)
     }
 }
 
@@ -733,6 +744,44 @@ impl Expr {
         }
     }
 
+    /// The operands directly under this expression, in source order:
+    /// `Index` base then index; `Call` arguments; the `Unary`/`Cast`/
+    /// `IncDec` operand; `Binary`/`Assign` lhs then rhs; `Cond` cond,
+    /// then, els. A cast's target type is not an operand.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (list, a, b, c): (&[Expr], Option<&Expr>, Option<&Expr>, Option<&Expr>) = match self {
+            Expr::Index { base, index, .. } => (&[], Some(base), Some(index), None),
+            Expr::Call { args, .. } => (args, None, None, None),
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
+                (&[], Some(expr), None, None)
+            }
+            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
+                (&[], Some(lhs), Some(rhs), None)
+            }
+            Expr::Cond { cond, then, els, .. } => (&[], Some(cond), Some(then), Some(els)),
+            _ => (&[], None, None, None),
+        };
+        list.iter().chain(a).chain(b).chain(c)
+    }
+
+    /// [`Expr::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let (list, a, b, c): (&mut [Expr], Option<&mut Expr>, Option<&mut Expr>, Option<&mut Expr>) =
+            match self {
+                Expr::Index { base, index, .. } => (&mut [], Some(base), Some(index), None),
+                Expr::Call { args, .. } => (args, None, None, None),
+                Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
+                    (&mut [], Some(expr), None, None)
+                }
+                Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
+                    (&mut [], Some(lhs), Some(rhs), None)
+                }
+                Expr::Cond { cond, then, els, .. } => (&mut [], Some(cond), Some(then), Some(els)),
+                _ => (&mut [], None, None, None),
+            };
+        list.iter_mut().chain(a).chain(b).chain(c)
+    }
+
     /// If this is an lvalue rooted at a named variable, return the root
     /// variable name (`a[i+1]` → `a`, `*p` → `p`, `x` → `x`).
     pub fn root_var(&self) -> Option<&str> {
@@ -781,5 +830,99 @@ impl Expr {
             Expr::Cast { expr, .. } => expr.const_int(),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::printer::{print_expr, print_stmt};
+
+    /// The statements of `void f() { <src> }`.
+    fn stmts(src: &str) -> Vec<Stmt> {
+        let u = crate::parse(&format!("void f() {{\n{src}\n}}\n")).unwrap();
+        let Item::Func(f) = &u.items[0] else { panic!("not a function") };
+        f.body.stmts.clone()
+    }
+
+    fn expr(src: &str) -> Expr {
+        match stmts(&format!("{src};")).remove(0) {
+            Stmt::Expr(e) => e,
+            s => panic!("not an expression statement: {s:?}"),
+        }
+    }
+
+    #[test]
+    fn stmt_children_come_in_source_order() {
+        let cases: [(&str, &[&str]); 10] = [
+            ("{ a = 1; b = 2; c = 3; }", &["a = 1;", "b = 2;", "c = 3;"]),
+            ("if (x) a = 1; else b = 2;", &["a = 1;", "b = 2;"]),
+            ("if (x) a = 1;", &["a = 1;"]),
+            ("for (i = 0; i < n; i++) a = i;", &["a = i;"]),
+            ("while (x) a = 1;", &["a = 1;"]),
+            ("do a = 1; while (x);", &["a = 1;"]),
+            ("#pragma omp parallel\na = 1;", &["a = 1;"]),
+            ("#pragma omp barrier", &[]),
+            ("a = b;", &[]),
+            ("int y = 2;", &[]),
+        ];
+        for (src, want) in cases {
+            let s = &stmts(src)[0];
+            let got: Vec<String> = s.children().map(|c| print_stmt(c).trim().to_string()).collect();
+            assert_eq!(got, want, "{src}");
+        }
+    }
+
+    #[test]
+    fn expr_children_come_in_source_order() {
+        let cases: [(&str, &[&str]); 11] = [
+            ("a[i + 1]", &["a", "i + 1"]),
+            ("f(x, y + 1, 3)", &["x", "y + 1", "3"]),
+            ("-x", &["x"]),
+            ("(int) x", &["x"]),
+            ("x++", &["x"]),
+            ("x + y * 2", &["x", "y * 2"]),
+            ("x += y", &["x", "y"]),
+            ("c ? a : b", &["c", "a", "b"]),
+            ("x", &[]),
+            ("1", &[]),
+            ("f()", &[]),
+        ];
+        for (src, want) in cases {
+            let e = expr(src);
+            let got: Vec<String> = e.children().map(print_expr).collect();
+            assert_eq!(got, want, "{src}");
+        }
+    }
+
+    /// `children_mut` yields the very nodes `children` does, in order,
+    /// at every statement and expression of the tree.
+    #[test]
+    fn children_mut_matches_children() {
+        fn check_expr(e: &mut Expr) {
+            let shared: Vec<*const Expr> = e.children().map(|c| c as *const Expr).collect();
+            let unique: Vec<*const Expr> = e.children_mut().map(|c| c as *const Expr).collect();
+            assert_eq!(shared, unique, "{}", print_expr(e));
+            e.children_mut().for_each(check_expr);
+        }
+        fn check_stmt(s: &mut Stmt) {
+            let shared: Vec<*const Stmt> = s.children().map(|c| c as *const Stmt).collect();
+            let unique: Vec<*const Stmt> = s.children_mut().map(|c| c as *const Stmt).collect();
+            assert_eq!(shared, unique, "{}", print_stmt(s));
+            if let Stmt::Expr(e) = s {
+                check_expr(e);
+            }
+            s.children_mut().for_each(check_stmt);
+        }
+        let mut body = stmts(
+            "a[i] = f(x, -y, (int) z) + (c ? p++ : q);\n\
+             { b += 1; if (x) { a = 1; } else ; }\n\
+             #pragma omp parallel for\n\
+             for (i = 0; i < n; i++) { while (x) x--; do y++; while (y < 3); }\n\
+             #pragma omp barrier\n\
+             int w = 3;",
+        );
+        assert_eq!(body.len(), 5);
+        body.iter_mut().for_each(check_stmt);
     }
 }

@@ -6,7 +6,7 @@
 //! parser for clause arguments); this module owns the data model and
 //! its semantic helpers.
 
-use crate::ast::Expr;
+use crate::ast::{Expr, ForStmt, Stmt};
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
 
@@ -392,6 +392,16 @@ impl Directive {
         })
     }
 
+    /// Whether a clause forces serial execution: `num_threads(1)` or
+    /// `if(0)`.
+    pub fn serial_by_clauses(&self) -> bool {
+        self.clauses.iter().any(|c| match c {
+            Clause::NumThreads(e) => e.const_int() == Some(1),
+            Clause::If(e) => e.const_int() == Some(0),
+            _ => false,
+        })
+    }
+
     /// The `collapse(n)` depth, defaulting to 1.
     pub fn collapse(&self) -> u32 {
         self.clauses
@@ -401,5 +411,42 @@ impl Directive {
                 _ => None,
             })
             .unwrap_or(1)
+    }
+}
+
+/// The variable an `omp atomic` of flavour `kind` protects, read from
+/// its body (one expression statement, possibly in a one-statement
+/// block): the assigned lvalue's root, or for `read` and capture forms
+/// (`v = x++`, `v = x += k`) the root of the right-hand side.
+pub fn atomic_target(kind: AtomicKind, body: &Stmt) -> Option<&str> {
+    let e = match body {
+        Stmt::Expr(e) => e,
+        Stmt::Block(b) if b.stmts.len() == 1 => match &b.stmts[0] {
+            Stmt::Expr(e) => e,
+            _ => return None,
+        },
+        _ => return None,
+    };
+    match (kind, e) {
+        (AtomicKind::Read, Expr::Assign { rhs, .. }) => rhs.root_var(),
+        // Capture `v = x++` / `v = x += k`: the atomic location is x.
+        (AtomicKind::Capture, Expr::Assign { rhs, .. })
+            if matches!(rhs.as_ref(), Expr::IncDec { .. } | Expr::Assign { .. }) =>
+        {
+            rhs.root_var()
+        }
+        (_, Expr::Assign { lhs, .. }) => lhs.root_var(),
+        (_, Expr::IncDec { expr, .. }) => expr.root_var(),
+        _ => None,
+    }
+}
+
+/// The loop a loop directive applies to: a `for` statement, possibly
+/// wrapped in one-statement blocks.
+pub fn as_for(s: &Stmt) -> Option<&ForStmt> {
+    match s {
+        Stmt::For(f) => Some(f),
+        Stmt::Block(b) if b.stmts.len() == 1 => as_for(&b.stmts[0]),
+        _ => None,
     }
 }

@@ -113,81 +113,28 @@ pub fn walk_decl<V: Visitor + ?Sized>(v: &mut V, d: &Decl) {
 
 /// Default expression traversal.
 pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, e: &Expr) {
-    match e {
-        Expr::IntLit { .. }
-        | Expr::FloatLit { .. }
-        | Expr::StrLit { .. }
-        | Expr::CharLit { .. }
-        | Expr::Ident { .. } => {}
-        Expr::Index { base, index, .. } => {
-            v.visit_expr(base);
-            v.visit_expr(index);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                v.visit_expr(a);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-            v.visit_expr(expr)
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
-        }
-        Expr::Assign { lhs, rhs, .. } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
-        }
-        Expr::Cond { cond, then, els, .. } => {
-            v.visit_expr(cond);
-            v.visit_expr(then);
-            v.visit_expr(els);
-        }
+    for c in e.children() {
+        v.visit_expr(c);
     }
 }
 
 /// Collect every directive in a unit, in source order.
 pub fn collect_directives(unit: &TranslationUnit) -> Vec<&Directive> {
-    struct C<'a>(Vec<&'a Directive>);
-    // Lifetimes force a manual walk here rather than the Visitor trait.
-    fn stmt<'a>(c: &mut C<'a>, s: &'a Stmt) {
-        match s {
-            Stmt::Omp { dir, body, .. } => {
-                c.0.push(dir);
-                if let Some(b) = body {
-                    stmt(c, b);
-                }
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    stmt(c, s);
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                stmt(c, then);
-                if let Some(e) = els {
-                    stmt(c, e);
-                }
-            }
-            Stmt::For(f) => stmt(c, &f.body),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(c, body),
-            _ => {}
+    fn stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a Directive>) {
+        if let Stmt::Omp { dir, .. } = s {
+            out.push(dir);
         }
+        s.children().for_each(|c| stmt(c, out));
     }
-    let mut c = C(Vec::new());
+    let mut out = Vec::new();
     for item in &unit.items {
         match item {
-            Item::Func(f) => {
-                for s in &f.body.stmts {
-                    stmt(&mut c, s);
-                }
-            }
-            Item::Pragma(d) => c.0.push(d),
+            Item::Func(f) => f.body.stmts.iter().for_each(|s| stmt(s, &mut out)),
+            Item::Pragma(d) => out.push(d),
             Item::Global(_) => {}
         }
     }
-    c.0
+    out
 }
 
 /// Names that must never be renamed.
@@ -240,27 +187,10 @@ pub fn rename_unit(unit: &mut TranslationUnit, map: &HashMap<String, String>) {
         }
     }
     fn expr(e: &mut Expr, map: &HashMap<String, String>) {
-        match e {
-            Expr::Ident { name, .. } => ren(name, map),
-            Expr::Index { base, index, .. } => {
-                expr(base, map);
-                expr(index, map);
-            }
-            Expr::Call { args, .. } => args.iter_mut().for_each(|a| expr(a, map)),
-            Expr::Unary { expr: x, .. } | Expr::Cast { expr: x, .. } | Expr::IncDec { expr: x, .. } => {
-                expr(x, map)
-            }
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                expr(lhs, map);
-                expr(rhs, map);
-            }
-            Expr::Cond { cond, then, els, .. } => {
-                expr(cond, map);
-                expr(then, map);
-                expr(els, map);
-            }
-            _ => {}
+        if let Expr::Ident { name, .. } = e {
+            ren(name, map);
         }
+        e.children_mut().for_each(|c| expr(c, map));
     }
     fn decl(d: &mut Decl, map: &HashMap<String, String>) {
         for v in &mut d.vars {

@@ -305,7 +305,7 @@ impl Walker {
             DK::Flush(_) => {}
             DK::Parallel | DK::Target => {
                 let Some(b) = body else { return };
-                if serial_by_clauses(dir) {
+                if dir.serial_by_clauses() {
                     self.walk_stmt(b);
                     return;
                 }
@@ -315,7 +315,7 @@ impl Walker {
             }
             DK::ParallelFor | DK::ParallelForSimd | DK::TargetParallelFor => {
                 let Some(b) = body else { return };
-                if serial_by_clauses(dir) {
+                if dir.serial_by_clauses() {
                     self.walk_stmt(b);
                     return;
                 }
@@ -388,7 +388,7 @@ impl Walker {
                     }
                 };
                 if creates {
-                    if serial_by_clauses(dir) {
+                    if dir.serial_by_clauses() {
                         self.walk_stmt(b);
                         return;
                     }
@@ -579,51 +579,6 @@ impl Walker {
             }
         }
     }
-}
-
-/// Determine which variable an `omp atomic` protects.
-fn atomic_target(kind: AtomicKind, body: &Stmt) -> Option<String> {
-    let e = match body {
-        Stmt::Expr(e) => e,
-        Stmt::Block(b) if b.stmts.len() == 1 => match &b.stmts[0] {
-            Stmt::Expr(e) => e,
-            _ => return None,
-        },
-        _ => return None,
-    };
-    match (kind, e) {
-        (AtomicKind::Read, Expr::Assign { rhs, .. }) => rhs.root_var().map(str::to_string),
-        // Capture `v = x++` / `v = x += k`: the atomic location is x.
-        (AtomicKind::Capture, Expr::Assign { rhs, .. })
-            if matches!(rhs.as_ref(), Expr::IncDec { .. } | Expr::Assign { .. }) =>
-        {
-            rhs.root_var().map(str::to_string)
-        }
-        (_, Expr::Assign { lhs, .. }) => lhs.root_var().map(str::to_string),
-        (_, Expr::IncDec { expr, .. }) => expr.root_var().map(str::to_string),
-        _ => None,
-    }
-}
-
-/// Is the statement (possibly via a trivial block) a `for` loop?
-fn as_for(s: &Stmt) -> Option<&ForStmt> {
-    match s {
-        Stmt::For(f) => Some(f),
-        Stmt::Block(b) if b.stmts.len() == 1 => as_for(&b.stmts[0]),
-        _ => None,
-    }
-}
-
-/// Does a clause force serial execution (`num_threads(1)`, `if(0)`)?
-fn serial_by_clauses(dir: &Directive) -> bool {
-    for c in &dir.clauses {
-        match c {
-            Clause::NumThreads(e) if e.const_int() == Some(1) => return true,
-            Clause::If(e) if e.const_int() == Some(0) => return true,
-            _ => {}
-        }
-    }
-    false
 }
 
 /// Extract the lock variable name from a `&lck`-style argument.

@@ -26,56 +26,28 @@ pub fn inline_unit(unit: &TranslationUnit) -> TranslationUnit {
     let mut out = unit.clone();
     for item in &mut out.items {
         if let Item::Func(f) = item {
-            let empty = Block { stmts: Vec::new(), span: f.body.span };
-            let body = std::mem::replace(&mut f.body, empty);
-            f.body = inline_block(body, &funcs, 0);
+            f.body.stmts.iter_mut().for_each(|s| inline_stmt(s, &funcs, 0));
         }
     }
     out
 }
 
-fn inline_block(b: Block, funcs: &HashMap<String, FuncDef>, depth: u32) -> Block {
-    let span = b.span;
-    let stmts = b.stmts.into_iter().map(|s| inline_stmt(s, funcs, depth)).collect();
-    Block { stmts, span }
-}
-
-fn inline_stmt(s: Stmt, funcs: &HashMap<String, FuncDef>, depth: u32) -> Stmt {
-    match s {
-        Stmt::Expr(Expr::Call { ref callee, ref args, span }) => {
-            if depth < MAX_DEPTH {
-                if let Some(f) = funcs.get(callee) {
-                    if let Some(block) = expand(f, args, span) {
-                        return inline_stmt(Stmt::Block(block), funcs, depth + 1);
-                    }
-                }
-            }
-            s
+/// Replace an expandable call statement with the callee's body (then
+/// inline inside it, one level deeper), or recurse into child statements.
+fn inline_stmt(s: &mut Stmt, funcs: &HashMap<String, FuncDef>, depth: u32) {
+    if let Stmt::Expr(Expr::Call { callee, args, span }) = s {
+        let expanded = if depth < MAX_DEPTH {
+            funcs.get(callee.as_str()).and_then(|f| expand(f, args, *span))
+        } else {
+            None
+        };
+        if let Some(block) = expanded {
+            *s = Stmt::Block(block);
+            inline_stmt(s, funcs, depth + 1);
         }
-        Stmt::Block(b) => Stmt::Block(inline_block(b, funcs, depth)),
-        Stmt::If { cond, then, els, span } => Stmt::If {
-            cond,
-            then: Box::new(inline_stmt(*then, funcs, depth)),
-            els: els.map(|e| Box::new(inline_stmt(*e, funcs, depth))),
-            span,
-        },
-        Stmt::For(mut f) => {
-            f.body = inline_stmt(f.body, funcs, depth);
-            Stmt::For(f)
-        }
-        Stmt::While { cond, body, span } => {
-            Stmt::While { cond, body: Box::new(inline_stmt(*body, funcs, depth)), span }
-        }
-        Stmt::DoWhile { body, cond, span } => {
-            Stmt::DoWhile { body: Box::new(inline_stmt(*body, funcs, depth)), cond, span }
-        }
-        Stmt::Omp { dir, body, span } => Stmt::Omp {
-            dir,
-            body: body.map(|b| Box::new(inline_stmt(*b, funcs, depth))),
-            span,
-        },
-        other => other,
+        return;
     }
+    s.children_mut().for_each(|c| inline_stmt(c, funcs, depth));
 }
 
 /// Expand a call into the callee body with parameters renamed to the
@@ -185,37 +157,15 @@ fn subst_stmt(s: &mut Stmt, subst: &HashMap<String, Expr>) {
 }
 
 fn subst_expr(e: &mut Expr, subst: &HashMap<String, Expr>) {
-    match e {
-        Expr::Ident { name, span } => {
-            if let Some(rep) = subst.get(name) {
-                let mut rep = rep.clone();
-                retarget_span(&mut rep, *span);
-                *e = rep;
-            }
+    if let Expr::Ident { name, span } = e {
+        if let Some(rep) = subst.get(name) {
+            let mut rep = rep.clone();
+            retarget_span(&mut rep, *span);
+            *e = rep;
         }
-        Expr::Index { base, index, .. } => {
-            subst_expr(base, subst);
-            subst_expr(index, subst);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                subst_expr(a, subst);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-            subst_expr(expr, subst)
-        }
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            subst_expr(lhs, subst);
-            subst_expr(rhs, subst);
-        }
-        Expr::Cond { cond, then, els, .. } => {
-            subst_expr(cond, subst);
-            subst_expr(then, subst);
-            subst_expr(els, subst);
-        }
-        _ => {}
+        return;
     }
+    e.children_mut().for_each(|c| subst_expr(c, subst));
 }
 
 /// Point a substituted expression's span at the use site, so race

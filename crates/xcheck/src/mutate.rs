@@ -178,24 +178,10 @@ pub fn apply_flip(unit: &TranslationUnit, m: FlipMutation) -> Option<Translation
 /// file-scope pragmas alike).
 pub(crate) fn for_each_directive_mut(unit: &mut TranslationUnit, f: &mut dyn FnMut(&mut Directive)) {
     fn stmt(s: &mut Stmt, f: &mut dyn FnMut(&mut Directive)) {
-        match s {
-            Stmt::Omp { dir, body, .. } => {
-                f(dir);
-                if let Some(b) = body {
-                    stmt(b, f);
-                }
-            }
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, f)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, f);
-                if let Some(e) = els {
-                    stmt(e, f);
-                }
-            }
-            Stmt::For(fo) => stmt(&mut fo.body, f),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, f),
-            _ => {}
+        if let Stmt::Omp { dir, .. } = s {
+            f(dir);
         }
+        s.children_mut().for_each(|c| stmt(c, f));
     }
     for item in &mut unit.items {
         match item {
@@ -252,13 +238,7 @@ fn permute_first_independent_pair(unit: &mut TranslationUnit) -> bool {
     fn in_stmt(s: &mut Stmt) -> bool {
         match s {
             Stmt::Block(b) => in_block(b),
-            Stmt::If { then, els, .. } => {
-                in_stmt(then) || els.as_mut().is_some_and(|e| in_stmt(e))
-            }
-            Stmt::For(f) => in_stmt(&mut f.body),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => in_stmt(body),
-            Stmt::Omp { body: Some(b), .. } => in_stmt(b),
-            _ => false,
+            _ => s.children_mut().any(in_stmt),
         }
     }
     let mut items = false;
@@ -277,39 +257,27 @@ fn permute_first_independent_pair(unit: &mut TranslationUnit) -> bool {
 /// (non-block) loop bodies in a block.
 fn reroll_loops(unit: &mut TranslationUnit) -> bool {
     fn stmt(s: &mut Stmt, changed: &mut bool) {
-        match s {
-            Stmt::For(f) => {
-                if let Some(Expr::IncDec { inc: true, expr, .. }) = &f.step {
-                    if let Expr::Ident { name, .. } = expr.as_ref() {
-                        let ident = |n: &str| Expr::Ident { name: n.to_string(), span: Span::DUMMY };
-                        f.step = Some(Expr::Assign {
-                            op: AssignOp::Assign,
+        if let Stmt::For(f) = s {
+            if let Some(Expr::IncDec { inc: true, expr, .. }) = &f.step {
+                if let Expr::Ident { name, .. } = expr.as_ref() {
+                    let ident = |n: &str| Expr::Ident { name: n.to_string(), span: Span::DUMMY };
+                    f.step = Some(Expr::Assign {
+                        op: AssignOp::Assign,
+                        lhs: Box::new(ident(name)),
+                        rhs: Box::new(Expr::Binary {
+                            op: BinOp::Add,
                             lhs: Box::new(ident(name)),
-                            rhs: Box::new(Expr::Binary {
-                                op: BinOp::Add,
-                                lhs: Box::new(ident(name)),
-                                rhs: Box::new(Expr::IntLit { value: 1, span: Span::DUMMY }),
-                                span: Span::DUMMY,
-                            }),
+                            rhs: Box::new(Expr::IntLit { value: 1, span: Span::DUMMY }),
                             span: Span::DUMMY,
-                        });
-                        *changed = true;
-                    }
-                }
-                brace(&mut f.body, changed);
-                stmt(&mut f.body, changed);
-            }
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, changed)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, changed);
-                if let Some(e) = els {
-                    stmt(e, changed);
+                        }),
+                        span: Span::DUMMY,
+                    });
+                    *changed = true;
                 }
             }
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, changed),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, changed),
-            _ => {}
+            brace(&mut f.body, changed);
         }
+        s.children_mut().for_each(|c| stmt(c, changed));
     }
     fn brace(body: &mut Stmt, changed: &mut bool) {
         if !matches!(body, Stmt::Block(_)) {
@@ -340,16 +308,7 @@ fn unwrap_first_sync_region(unit: &mut TranslationUnit) -> bool {
                 return true;
             }
         }
-        match s {
-            Stmt::Block(b) => b.stmts.iter_mut().any(stmt),
-            Stmt::If { then, els, .. } => {
-                stmt(then) || els.as_mut().is_some_and(|e| stmt(e))
-            }
-            Stmt::For(f) => stmt(&mut f.body),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body),
-            Stmt::Omp { body: Some(b), .. } => stmt(b),
-            _ => false,
-        }
+        s.children_mut().any(stmt)
     }
     unit.items.iter_mut().any(|item| match item {
         Item::Func(f) => f.body.stmts.iter_mut().any(stmt),
@@ -379,14 +338,7 @@ fn wrap_first_compound_update(unit: &mut TranslationUnit) -> bool {
             };
             return true;
         }
-        match s {
-            Stmt::Block(b) => b.stmts.iter_mut().any(stmt),
-            Stmt::If { then, els, .. } => stmt(then) || els.as_mut().is_some_and(|e| stmt(e)),
-            Stmt::For(f) => stmt(&mut f.body),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body),
-            Stmt::Omp { body: Some(b), .. } => stmt(b),
-            _ => false,
-        }
+        s.children_mut().any(stmt)
     }
     unit.items.iter_mut().any(|item| match item {
         Item::Func(f) => f.body.stmts.iter_mut().any(stmt),
@@ -471,28 +423,7 @@ fn perturb_stencil_offset(unit: &mut TranslationUnit, new_off: i64) -> bool {
                 }
             }
         }
-        match e {
-            Expr::Index { base: b, index, .. } => {
-                rewrite_reads(b, base, new_off, changed);
-                rewrite_reads(index, base, new_off, changed);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-                rewrite_reads(expr, base, new_off, changed)
-            }
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                rewrite_reads(lhs, base, new_off, changed);
-                rewrite_reads(rhs, base, new_off, changed);
-            }
-            Expr::Cond { cond, then, els, .. } => {
-                rewrite_reads(cond, base, new_off, changed);
-                rewrite_reads(then, base, new_off, changed);
-                rewrite_reads(els, base, new_off, changed);
-            }
-            Expr::Call { args, .. } => {
-                args.iter_mut().for_each(|a| rewrite_reads(a, base, new_off, changed))
-            }
-            _ => {}
-        }
+        e.children_mut().for_each(|c| rewrite_reads(c, base, new_off, changed));
     }
     let mut changed = false;
     fn walk(s: &mut Stmt, in_parallel: bool, new_off: i64, changed: &mut bool) {
@@ -506,24 +437,11 @@ fn perturb_stencil_offset(unit: &mut TranslationUnit, new_off: i64) -> bool {
                 }
             }
         }
-        match s {
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| walk(s, in_parallel, new_off, changed)),
-            Stmt::If { then, els, .. } => {
-                walk(then, in_parallel, new_off, changed);
-                if let Some(e) = els {
-                    walk(e, in_parallel, new_off, changed);
-                }
-            }
-            Stmt::For(f) => walk(&mut f.body, in_parallel, new_off, changed),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
-                walk(body, in_parallel, new_off, changed)
-            }
-            Stmt::Omp { dir, body: Some(b), .. } => {
-                let par = in_parallel || dir.kind.creates_parallelism();
-                walk(b, par, new_off, changed);
-            }
-            _ => {}
-        }
+        let par = match s {
+            Stmt::Omp { dir, .. } => in_parallel || dir.kind.creates_parallelism(),
+            _ => in_parallel,
+        };
+        s.children_mut().for_each(|c| walk(c, par, new_off, changed));
     }
     for item in &mut unit.items {
         if let Item::Func(f) = item {

@@ -169,10 +169,7 @@ fn reduction_op(s: &Stmt, var: &str) -> Option<ReductionOp> {
 
 /// First reduction-shaped update of `var` anywhere in a subtree.
 fn find_reducible(s: &Stmt, var: &str) -> Option<ReductionOp> {
-    if let Some(op) = reduction_op(s, var) {
-        return Some(op);
-    }
-    each_child(s, &mut |c| find_reducible(c, var))
+    reduction_op(s, var).or_else(|| s.children().find_map(|c| find_reducible(c, var)))
 }
 
 /// Whether a subtree assigns the scalar `var`.
@@ -186,19 +183,7 @@ fn writes_scalar(s: &Stmt, var: &str) -> bool {
         Stmt::Expr(Expr::IncDec { expr, .. })
             if matches!(expr.as_ref(), Expr::Ident { name, .. } if name == var)
     );
-    direct || each_child(s, &mut |c| writes_scalar(c, var).then_some(())).is_some()
-}
-
-/// Visit direct child statements, short-circuiting on the first `Some`.
-fn each_child<T>(s: &Stmt, f: &mut dyn FnMut(&Stmt) -> Option<T>) -> Option<T> {
-    match s {
-        Stmt::Block(b) => b.stmts.iter().find_map(&mut *f),
-        Stmt::If { then, els, .. } => f(then).or_else(|| els.as_deref().and_then(&mut *f)),
-        Stmt::For(fo) => f(&fo.body),
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => f(body),
-        Stmt::Omp { body: Some(b), .. } => f(b),
-        _ => None,
-    }
+    direct || s.children().any(|c| writes_scalar(c, var))
 }
 
 /// Remove `var` from every data-sharing clause list on a directive
@@ -246,17 +231,7 @@ fn attach_clause(
         mk: &dyn Fn() -> Clause,
     ) -> bool {
         // Try children first so the innermost candidate directive wins.
-        let descended = match s {
-            Stmt::Block(b) => b.stmts.iter_mut().any(|c| walk(c, var, site, mk)),
-            Stmt::If { then, els, .. } => {
-                walk(then, var, site, mk) || els.as_deref_mut().is_some_and(|e| walk(e, var, site, mk))
-            }
-            Stmt::For(f) => walk(&mut f.body, var, site, mk),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => walk(body, var, site, mk),
-            Stmt::Omp { body: Some(b), .. } => walk(b, var, site, mk),
-            _ => false,
-        };
-        if descended {
+        if s.children_mut().any(|c| walk(c, var, site, mk)) {
             return true;
         }
         if let Stmt::Omp { dir, body: Some(b), .. } = s {
@@ -330,31 +305,14 @@ fn wrap_matching(
             *wrapped += 1;
             return;
         }
-        match s {
-            Stmt::Omp { dir, body, .. } => {
-                if matches!(dir.kind, DirectiveKind::Critical(_) | DirectiveKind::Atomic(_)) {
-                    return; // already protected
-                }
-                let par = in_parallel || dir.kind.creates_parallelism();
-                if let Some(b) = body {
-                    walk(b, par, kind, want, wrapped);
-                }
+        let mut par = in_parallel;
+        if let Stmt::Omp { dir, .. } = s {
+            if dir.kind.is_mutex() {
+                return; // already protected
             }
-            Stmt::Block(b) => {
-                b.stmts.iter_mut().for_each(|c| walk(c, in_parallel, kind, want, wrapped))
-            }
-            Stmt::If { then, els, .. } => {
-                walk(then, in_parallel, kind, want, wrapped);
-                if let Some(e) = els {
-                    walk(e, in_parallel, kind, want, wrapped);
-                }
-            }
-            Stmt::For(f) => walk(&mut f.body, in_parallel, kind, want, wrapped),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
-                walk(body, in_parallel, kind, want, wrapped)
-            }
-            _ => {}
+            par |= dir.kind.creates_parallelism();
         }
+        s.children_mut().for_each(|c| walk(c, par, kind, want, wrapped));
     }
     let mut wrapped = 0;
     for item in &mut unit.items {
@@ -387,7 +345,7 @@ fn wrap_critical_accesses(unit: &mut TranslationUnit, var: &str) -> bool {
 
 /// Whether a subtree contains any OpenMP statement pragma.
 fn has_pragma(s: &Stmt) -> bool {
-    matches!(s, Stmt::Omp { .. }) || each_child(s, &mut |c| has_pragma(c).then_some(())).is_some()
+    matches!(s, Stmt::Omp { .. }) || s.children().any(has_pragma)
 }
 
 fn serialize_body(unit: &mut TranslationUnit) -> bool {
@@ -414,14 +372,7 @@ fn serialize_body(unit: &mut TranslationUnit) -> bool {
                 return true;
             }
         }
-        match s {
-            Stmt::Block(b) => b.stmts.iter_mut().any(walk),
-            Stmt::If { then, els, .. } => walk(then) || els.as_deref_mut().is_some_and(walk),
-            Stmt::For(f) => walk(&mut f.body),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => walk(body),
-            Stmt::Omp { body: Some(b), .. } => walk(b),
-            _ => false,
-        }
+        s.children_mut().any(walk)
     }
     unit.items.iter_mut().any(|item| match item {
         Item::Func(f) => f.body.stmts.iter_mut().any(walk),

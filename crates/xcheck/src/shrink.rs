@@ -78,16 +78,7 @@ fn count_stmts(unit: &TranslationUnit) -> usize {
     fn stmt(s: &Stmt, n: &mut usize) {
         match s {
             Stmt::Block(b) => block(b, n),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n);
-                if let Some(e) = els {
-                    stmt(e, n);
-                }
-            }
-            Stmt::For(f) => stmt(&f.body, n),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, n),
-            _ => {}
+            _ => s.children().for_each(|c| stmt(c, n)),
         }
     }
     fn block(b: &Block, n: &mut usize) {
@@ -114,16 +105,7 @@ fn remove_stmt(unit: &TranslationUnit, target: usize) -> Option<TranslationUnit>
         }
         match s {
             Stmt::Block(b) => block(b, n, target, done),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n, target, done);
-                if let Some(e) = els {
-                    stmt(e, n, target, done);
-                }
-            }
-            Stmt::For(f) => stmt(&mut f.body, n, target, done),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n, target, done),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, n, target, done),
-            _ => {}
+            _ => s.children_mut().for_each(|c| stmt(c, n, target, done)),
         }
     }
     fn block(b: &mut Block, n: &mut usize, target: usize, done: &mut bool) {
@@ -175,23 +157,8 @@ fn unwrap_omp(unit: &TranslationUnit, target: usize) -> Option<TranslationUnit> 
                 return;
             }
             *n += 1;
-            if let Stmt::Omp { body: Some(b), .. } = s {
-                stmt(b, n, target, done);
-            }
-            return;
         }
-        match s {
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, n, target, done)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n, target, done);
-                if let Some(e) = els {
-                    stmt(e, n, target, done);
-                }
-            }
-            Stmt::For(f) => stmt(&mut f.body, n, target, done),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n, target, done),
-            _ => {}
-        }
+        s.children_mut().for_each(|c| stmt(c, n, target, done));
     }
     let mut u = unit.clone();
     let (mut n, mut done) = (0usize, false);
@@ -226,24 +193,10 @@ fn remove_clause(unit: &TranslationUnit, target: usize) -> Option<TranslationUni
         if *done {
             return;
         }
-        match s {
-            Stmt::Omp { dir: d, body, .. } => {
-                dir(d, n, target, done);
-                if let Some(b) = body {
-                    stmt(b, n, target, done);
-                }
-            }
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, n, target, done)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n, target, done);
-                if let Some(e) = els {
-                    stmt(e, n, target, done);
-                }
-            }
-            Stmt::For(f) => stmt(&mut f.body, n, target, done),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n, target, done),
-            _ => {}
+        if let Stmt::Omp { dir: d, .. } = s {
+            dir(d, n, target, done);
         }
+        s.children_mut().for_each(|c| stmt(c, n, target, done));
     }
     let mut u = unit.clone();
     let (mut n, mut done) = (0usize, false);

@@ -10,12 +10,17 @@
 //! The `repair` line folds every `RepairEdit` over every renameable
 //! variable of the kernel into one digest.
 //!
+//! A second test ties `Stmt::children` to `minic::visit::walk_stmt`, the
+//! two definitions of which statements sit under which.
+//!
 //! To bless a new snapshot after an intentional change:
 //!
 //! ```text
 //! RACELLM_BLESS=1 cargo test -p racellm --test it_ast_rewrites
 //! ```
 
+use racellm::minic::ast::{Item, Stmt};
+use racellm::minic::visit::{walk_func, walk_stmt, Visitor};
 use racellm::{drb_gen, minic, xcheck};
 use std::hash::Hasher;
 use std::path::PathBuf;
@@ -115,4 +120,35 @@ fn ast_rewrites_match_golden() {
         drifted.len(),
         drifted.join("\n")
     );
+}
+
+/// Pre-order over `Stmt::children` visits the same statements, in the
+/// same order, as a `Visitor` whose `visit_stmt` records each one, for
+/// every corpus kernel.
+#[test]
+fn child_iterators_agree_with_the_visitor() {
+    struct Seen(Vec<(minic::Span, *const Stmt)>);
+    impl Visitor for Seen {
+        fn visit_stmt(&mut self, s: &Stmt) {
+            self.0.push((s.span(), s));
+            walk_stmt(self, s);
+        }
+    }
+    fn preorder(s: &Stmt, out: &mut Vec<(minic::Span, *const Stmt)>) {
+        out.push((s.span(), s));
+        s.children().for_each(|c| preorder(c, out));
+    }
+    let corpus = drb_gen::corpus();
+    assert_eq!(corpus.len(), 201);
+    for k in corpus {
+        let unit = minic::parse(&k.code).unwrap_or_else(|e| panic!("{}: {e:?}", k.name));
+        for item in &unit.items {
+            let Item::Func(f) = item else { continue };
+            let mut visited = Seen(Vec::new());
+            walk_func(&mut visited, f);
+            let mut iterated = Vec::new();
+            f.body.stmts.iter().for_each(|s| preorder(s, &mut iterated));
+            assert_eq!(visited.0, iterated, "{}: {}", k.name, f.name);
+        }
+    }
 }
